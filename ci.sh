@@ -1,9 +1,10 @@
 #!/bin/sh
 # ci.sh — the repo's full gate: formatting, vet, the regular test suite,
-# the race-detector run that guards the parallel build pipeline and the
-# shared multi-group substrate, and short fuzz smokes over the codec,
-# fault-schedule, partition-schedule, drift-schedule, incremental-rebuild,
-# multi-group, SLO-rule, and snapshot round-trip fuzzers. `ci.sh bench`
+# the benchmark harness's own tests, the race-detector run that guards the
+# parallel build pipeline and the shared multi-group substrate, and short
+# fuzz smokes over the codec, fault-schedule, partition-schedule,
+# drift-schedule, incremental-rebuild, multi-group, SLO-rule, and snapshot
+# round-trip fuzzers. `ci.sh bench`
 # runs the benchmark regression gate instead.
 set -eu
 
@@ -35,6 +36,12 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+# The benchmark harness is its own module, so the root run above skips it.
+# Its tests pin the harness's output checks to the library's API and
+# behaviour; a change that breaks them fails here, not in the benchmark.
+echo "== perfbench harness =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== coverage floors =="
 # Checked-in floors for the packages whose correctness the rest of the repo

@@ -19,23 +19,21 @@ type conn2 struct {
 	g   grid.PolarGrid
 }
 
-// repScore is the squared distance from the node to the center of the
-// cell's inner arc, computed in polar coordinates via the law of cosines.
-func (c *conn2) repScore(cellID int, id int32) float64 {
+// nearestArc scores members by the squared distance to the arc center at
+// radius RMin (inner) or RMax (outer) and the segment's mid-angle, computed
+// in polar coordinates via the law of cosines.
+func (c *conn2) nearestArc(cellID int, outer bool, members []int32) int {
 	ring, j := grid.RingIdx(cellID)
 	seg := c.g.Segment(ring, j)
-	p := c.ctx.Pts[id]
-	return p.R*p.R + seg.RMin*seg.RMin -
-		2*p.R*seg.RMin*math.Cos(p.Theta-seg.MidTheta())
-}
-
-// relayScore is the squared distance to the center of the cell's outer arc.
-func (c *conn2) relayScore(cellID int, id int32) float64 {
-	ring, j := grid.RingIdx(cellID)
-	seg := c.g.Segment(ring, j)
-	p := c.ctx.Pts[id]
-	return p.R*p.R + seg.RMax*seg.RMax -
-		2*p.R*seg.RMax*math.Cos(p.Theta-seg.MidTheta())
+	r, mid := seg.RMin, seg.MidTheta()
+	if outer {
+		r = seg.RMax
+	}
+	pts := c.ctx.Pts
+	return argmin(members, func(id int32) float64 {
+		p := pts[id]
+		return p.R*p.R + r*r - 2*p.R*r*math.Cos(p.Theta-mid)
+	})
 }
 
 func (c *conn2) pointDist2(a, b int32) float64 {
@@ -63,8 +61,8 @@ func (c *conn2) connectBinary(idx []int32, src int32, cellID int) {
 // receiver. Asymptotic optimality additionally needs the receivers to fill
 // a convex region around the source with density bounded below.
 //
-// WithParallelism fans the construction over a worker pool; parallel and
-// serial builds of the same input produce identical trees.
+// WithParallelism fans the construction over a worker pool; every worker
+// count produces the identical tree.
 func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Result, error) {
 	o := buildOptions(opts)
 	variant, degCap, err := variantFor(o.maxOutDegree, naturalDegree2D)
@@ -111,7 +109,7 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 		if o.trialK {
 			return grid.MaxFeasibleK(polars[1:], scale, kMax)
 		}
-		return grid.MaxFeasibleKAnalytic(polars[1:], scale, kMax)
+		return grid.MaxFeasibleKAnalytic(polars[1:], scale, kMax, workers)
 	})
 	endGrid()
 	if err != nil {
@@ -124,39 +122,13 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(polars[i+1])) })
 	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
 	endBucket()
-	var reps []int32
-	if workers > 1 {
-		res.Tree, reps, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups,
-			func(a bisect.Attacher) connector {
-				return &conn2{ctx: &bisect.Ctx2{B: a, Pts: polars}, g: g}
-			}, variant, in)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		b, berr := tree.NewBuilder(n+1, 0, degCap)
-		if berr != nil {
-			return nil, berr
-		}
-		conn := &conn2{ctx: &bisect.Ctx2{B: b, Pts: polars}, g: g}
-		endReps := in.phase("build/reps")
-		reps = chooseReps(groups, conn, g.NumCells())
-		endReps()
-		reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
-		endWire := in.phase("build/wire")
-		wireCore(b, k, groups, reps, conn, variant, in)
-		endWire()
-		if res.Tree, err = b.Build(); err != nil {
-			return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-		}
-	}
-	endMetrics := in.phase("build/metrics")
-	delays := res.Tree.Delays(dist)
 	res.K = k
-	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps)
 	res.Bound = g.UpperBound(arcCoeff(variant))
-	endMetrics()
+	if err := wireParallel(res, k, workers, groups, dist, func(a bisect.Attacher) connector {
+		return &conn2{ctx: &bisect.Ctx2{B: a, Pts: polars}, g: g}
+	}, in); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
-	"omtree/internal/tree"
 )
 
 // naturalDegree3D is 2 core links + the 8-way Bisection fan-out (§V: "the
@@ -21,34 +19,26 @@ type conn3 struct {
 	g   grid.SphereGrid3
 }
 
-// repScore is the squared distance from the node to the center of the
-// cell's inner (spherical) arc: the point at radius RMin in the middle of
-// the cell's angular box.
-func (c *conn3) repScore(cellID int, id int32) float64 {
+// nearestArc scores members by the squared distance to the arc center at
+// radius RMin (inner) or RMax (outer) in the middle of the cell's angular
+// box.
+func (c *conn3) nearestArc(cellID int, outer bool, members []int32) int {
 	shell, j := grid.RingIdx(cellID)
 	cell := c.g.Cell(shell, j)
+	r := cell.RMin
+	if outer {
+		r = cell.RMax
+	}
 	// Middle of the polar-angle interval (arc-length midpoint), not of the
 	// u interval, so the generic BuildD path agrees exactly.
 	phiMid := (math.Acos(clampUnit(cell.UMax)) + math.Acos(clampUnit(cell.UMin))) / 2
 	center := geom.Spherical{
-		R:     cell.RMin,
+		R:     r,
 		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
 		U:     math.Cos(phiMid),
 	}.ToPoint()
-	return c.ctx.Pts[id].ToPoint().Dist2(center)
-}
-
-// relayScore is the squared distance to the center of the cell's outer arc.
-func (c *conn3) relayScore(cellID int, id int32) float64 {
-	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
-	phiMid := (math.Acos(clampUnit(cell.UMax)) + math.Acos(clampUnit(cell.UMin))) / 2
-	center := geom.Spherical{
-		R:     cell.RMax,
-		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
-		U:     math.Cos(phiMid),
-	}.ToPoint()
-	return c.ctx.Pts[id].ToPoint().Dist2(center)
+	pts := c.ctx.Pts
+	return argmin(members, func(id int32) float64 { return pts[id].ToPoint().Dist2(center) })
 }
 
 func (c *conn3) pointDist2(a, b int32) float64 {
@@ -124,7 +114,7 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 		if o.trialK {
 			return grid.MaxFeasibleK3(sph[1:], scale, kMax)
 		}
-		return grid.MaxFeasibleK3Analytic(sph[1:], scale, kMax)
+		return grid.MaxFeasibleK3Analytic(sph[1:], scale, kMax, workers)
 	})
 	endGrid()
 	if err != nil {
@@ -137,38 +127,12 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(sph[i+1])) })
 	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
 	endBucket()
-	var reps []int32
-	if workers > 1 {
-		res.Tree, reps, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups,
-			func(a bisect.Attacher) connector {
-				return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
-			}, variant, in)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		b, berr := tree.NewBuilder(n+1, 0, degCap)
-		if berr != nil {
-			return nil, berr
-		}
-		conn := &conn3{ctx: &bisect.Ctx3{B: b, Pts: sph}, g: g}
-		endReps := in.phase("build/reps")
-		reps = chooseReps(groups, conn, g.NumCells())
-		endReps()
-		reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
-		endWire := in.phase("build/wire")
-		wireCore(b, k, groups, reps, conn, variant, in)
-		endWire()
-		if res.Tree, err = b.Build(); err != nil {
-			return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-		}
-	}
-	endMetrics := in.phase("build/metrics")
-	delays := res.Tree.Delays(dist)
 	res.K = k
-	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps)
 	res.Bound = g.UpperBound(arcCoeff(variant))
-	endMetrics()
+	if err := wireParallel(res, k, workers, groups, dist, func(a bisect.Attacher) connector {
+		return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
+	}, in); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

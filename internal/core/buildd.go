@@ -6,7 +6,6 @@ import (
 	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
-	"omtree/internal/tree"
 )
 
 // connD adapts the d-dimensional grid and Bisection context to the wiring
@@ -16,9 +15,10 @@ type connD struct {
 	g   *grid.GridD
 }
 
-// repScore is the squared distance from the node to the center of the
-// cell's inner arc: radius RMin at the middle of every angular interval.
-func (c *connD) repScore(cellID int, id int32) float64 {
+// nearestArc scores members by the squared distance to the arc center at
+// radius RMin (inner) or RMax (outer) in the middle of every angular
+// interval.
+func (c *connD) nearestArc(cellID int, outer bool, members []int32) int {
 	shell, j := grid.RingIdx(cellID)
 	cell := c.g.Cell(shell, j)
 	center := geom.Hyperspherical{
@@ -26,25 +26,15 @@ func (c *connD) repScore(cellID int, id int32) float64 {
 		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
 		Phi:   make([]float64, len(cell.PhiMin)),
 	}
-	for m := range center.Phi {
-		center.Phi[m] = (cell.PhiMin[m] + cell.PhiMax[m]) / 2
-	}
-	return c.ctx.Pts[id].ToVec().Dist2(center.ToVec())
-}
-
-// relayScore is the squared distance to the center of the cell's outer arc.
-func (c *connD) relayScore(cellID int, id int32) float64 {
-	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
-	center := geom.Hyperspherical{
-		R:     cell.RMax,
-		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
-		Phi:   make([]float64, len(cell.PhiMin)),
+	if outer {
+		center.R = cell.RMax
 	}
 	for m := range center.Phi {
 		center.Phi[m] = (cell.PhiMin[m] + cell.PhiMax[m]) / 2
 	}
-	return c.ctx.Pts[id].ToVec().Dist2(center.ToVec())
+	cv := center.ToVec()
+	pts := c.ctx.Pts
+	return argmin(members, func(id int32) float64 { return pts[id].ToVec().Dist2(cv) })
 }
 
 func (c *connD) pointDist2(a, b int32) float64 {
@@ -134,7 +124,7 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 		if o.trialK {
 			g, err = grid.MaxFeasibleKD(d, hs[1:], scale, kMax)
 		} else {
-			g, err = grid.MaxFeasibleKDAnalytic(d, hs[1:], scale, kMax)
+			g, err = grid.MaxFeasibleKDAnalytic(d, hs[1:], scale, kMax, workers)
 		}
 		if err != nil {
 			endGrid()
@@ -148,38 +138,12 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(hs[i+1])) })
 	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
 	endBucket()
-	var reps []int32
-	if workers > 1 {
-		res.Tree, reps, err = wireParallel(n, g.K, g.NumCells(), degCap, workers, groups,
-			func(a bisect.Attacher) connector {
-				return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
-			}, variant, in)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		b, berr := tree.NewBuilder(n+1, 0, degCap)
-		if berr != nil {
-			return nil, berr
-		}
-		conn := &connD{ctx: &bisect.CtxD{B: b, Pts: hs}, g: g}
-		endReps := in.phase("build/reps")
-		reps = chooseReps(groups, conn, g.NumCells())
-		endReps()
-		reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
-		endWire := in.phase("build/wire")
-		wireCore(b, g.K, groups, reps, conn, variant, in)
-		endWire()
-		if res.Tree, err = b.Build(); err != nil {
-			return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-		}
-	}
-	endMetrics := in.phase("build/metrics")
-	delays := res.Tree.Delays(dist)
 	res.K = g.K
-	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps)
 	res.Bound = g.UpperBound(arcCoeff(variant))
-	endMetrics()
+	if err := wireParallel(res, g.K, workers, groups, dist, func(a bisect.Attacher) connector {
+		return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
+	}, in); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

@@ -575,23 +575,6 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 	return res, nil
 }
 
-// repOf replicates chooseReps for a single cell over an explicit member
-// list: the member closest to the center of the cell's inner arc, ties to
-// the smallest id; -1 when empty.
-func repOf(members []int32, cellID int, conn connector) int32 {
-	if len(members) == 0 {
-		return -1
-	}
-	best := members[0]
-	bestScore := conn.repScore(cellID, best)
-	for _, id := range members[1:] {
-		if sc := conn.repScore(cellID, id); sc < bestScore || (sc == bestScore && id < best) {
-			best, bestScore = id, sc
-		}
-	}
-	return best
-}
-
 func insertSorted(a []int32, v int32) []int32 {
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
 	a = append(a, 0)

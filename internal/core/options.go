@@ -78,12 +78,12 @@ func WithKMax(k int) Option {
 }
 
 // WithParallelism sets the number of worker goroutines of the build
-// pipeline: coordinate conversion, the sharded cell-bucketing pass,
-// representative selection and per-cell wiring all fan out over this many
-// workers. n == 1 forces the serial path; n <= 0 (the default) uses
-// runtime.GOMAXPROCS(0), falling back to the serial path below a small
-// problem-size threshold where goroutine overhead dominates. Parallel and
-// serial builds of the same input produce identical trees.
+// pipeline: coordinate conversion, the ring-count search, the sharded
+// cell-bucketing pass, representative selection and per-cell wiring all fan
+// out over this many workers. n == 1 runs the same pipeline on the calling
+// goroutine; n <= 0 (the default) uses runtime.GOMAXPROCS(0), falling back
+// to one worker below a small problem-size threshold where goroutine
+// overhead dominates. Every worker count produces the identical tree.
 func WithParallelism(n int) Option {
 	return func(o *options) { o.workers = n }
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"omtree/internal/bisect"
+	"omtree/internal/grid"
 	"omtree/internal/tree"
 )
 
@@ -19,13 +20,14 @@ const parallelBuildThreshold = 2048
 // into a parallel build's shared parent array.
 const unattachedNode int32 = -2
 
-// parentSink is the attachment sink of the parallel pipeline and of the
-// incremental BuildState path: a bare parent array shared by every worker. It
-// is lock-free by construction — the wiring attaches each node exactly once,
-// from the one cell responsible for it, so concurrent MustAttach calls always
-// target distinct entries. Structural validation (spanning, acyclicity,
-// degree caps) that tree.Builder performs edge-by-edge is instead run once
-// over the finished array in build (or, for BuildState, at export).
+// parentSink is the attachment sink of the incremental BuildState path and
+// the base of the one-shot builds' delaySink: a bare parent array shared by
+// every worker. It is lock-free by construction — the wiring attaches each
+// node exactly once, from the one cell responsible for it, so concurrent
+// MustAttach calls always target distinct entries. Structural validation
+// (spanning, acyclicity, degree caps) that tree.Builder performs
+// edge-by-edge is instead run once over the finished array in build (or,
+// for BuildState, at export).
 type parentSink struct {
 	parents []int32
 }
@@ -53,10 +55,27 @@ func (s *parentSink) MustAttach(child, parent int) {
 }
 
 // build finalizes the sink into a validated tree; FromParents checks that
-// the array is spanning, acyclic and within the degree cap, restoring the
-// guarantees the serial Builder enforces incrementally.
+// the array is spanning, acyclic and within the degree cap, so the wiring
+// itself never has to.
 func (s *parentSink) build(degCap int) (*tree.Tree, error) {
 	return tree.FromParents(0, s.parents, degCap)
+}
+
+// delaySink is the one-shot builds' sink: a parentSink that also records
+// every node's source-to-node delay as it attaches. Wiring runs ring by ring
+// and always attaches a child under an already attached node, so
+// delays[parent] is final at that moment, and delays[parent] + dist(parent,
+// child) is exactly the sum tree.Delays would form walking the finished
+// tree — bit for bit.
+type delaySink struct {
+	parentSink
+	delays []float64
+	dist   tree.DistFunc
+}
+
+func (s *delaySink) MustAttach(child, parent int) {
+	s.parentSink.MustAttach(child, parent)
+	s.delays[child] = s.delays[parent] + s.dist(parent, child)
 }
 
 // parRange splits [0, n) into one contiguous chunk per worker and runs fn
@@ -88,35 +107,32 @@ func parRange(workers, n int, fn func(w, lo, hi int)) {
 // population.
 const cellBlock = 32
 
-// parCells runs fn(w, c) for every cell id in [0, numCells), distributing
+// parCells runs fn(w, c) for every cell id in [lo, hi), distributing
 // blocks of cells over the worker pool through an atomic cursor; w is the
 // worker index (for per-worker accumulators). Per-cell work is proportional
-// to cell population, which varies by orders of magnitude across rings, so
+// to cell population, which varies by orders of magnitude across cells, so
 // dynamic block distribution balances far better than contiguous
 // pre-partitioning.
-func parCells(workers, numCells int, fn func(w, c int)) {
+func parCells(workers, lo, hi int, fn func(w, c int)) {
 	if workers <= 1 {
-		for c := 0; c < numCells; c++ {
+		for c := lo; c < hi; c++ {
 			fn(0, c)
 		}
 		return
 	}
 	var cursor atomic.Int64
+	cursor.Store(int64(lo))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for {
-				lo := int(cursor.Add(cellBlock)) - cellBlock
-				if lo >= numCells {
+				from := int(cursor.Add(cellBlock)) - cellBlock
+				if from >= hi {
 					return
 				}
-				hi := lo + cellBlock
-				if hi > numCells {
-					hi = numCells
-				}
-				for c := lo; c < hi; c++ {
+				for c := from; c < min(from+cellBlock, hi); c++ {
 					fn(w, c)
 				}
 			}
@@ -207,55 +223,55 @@ func groupByCellParallel(cellOf []int32, numCells, workers int) cellGroups {
 	return cellGroups{start: start, order: order}
 }
 
-// chooseRepsParallel is chooseReps fanned out over the worker pool; the
-// per-cell selection is untouched, so the result is identical.
-func chooseRepsParallel(g cellGroups, conn connector, numCells, workers int) []int32 {
-	reps := make([]int32, numCells)
-	parCells(workers, numCells, func(_, c int) {
-		members := g.order[g.start[c]:g.start[c+1]]
-		if len(members) == 0 {
-			reps[c] = -1
-			return
-		}
-		best := members[0]
-		bestScore := conn.repScore(c, best)
-		for _, id := range members[1:] {
-			s := conn.repScore(c, id)
-			if s < bestScore || (s == bestScore && id < best) {
-				best, bestScore = id, s
-			}
-		}
-		reps[c] = best
-	})
-	return reps
-}
-
-// wireParallel runs the cell-parallel tail of every Build: representative
-// selection, then core + in-cell wiring of all cells into a shared parent
-// array, then one-shot validation. mkConn builds the dimension's connector
-// around the shared sink. Determinism needs no merge step: cells write
-// disjoint parent entries, so the finished array is independent of the
-// order in which workers happen to process cells.
-func wireParallel(n, k, numCells, degCap, workers int, g cellGroups,
-	mkConn func(bisect.Attacher) connector, variant Variant, in instr) (*tree.Tree, []int32, error) {
-	sink := newParentSink(n + 1)
+// wireParallel runs the cell-parallel tail of every one-shot Build:
+// representative selection, core + in-cell wiring of all cells into a
+// shared parent array, one-shot validation, and the Result metrics. It
+// fills res.Tree, res.Radius and res.CoreDelay; res.Variant and
+// res.MaxOutDegree select the wiring. mkConn builds the dimension's
+// connector around the shared sink, and dist is the tree's edge length.
+//
+// Cells are wired ring by ring, 0..k, with a barrier between rings: a ring-r
+// cell attaches its members under its representative, which its ring r-1
+// parent cell attached. Every attach therefore finds its parent's delay
+// final, the sink records delays as it goes, and the metrics phase is two
+// max reductions instead of a second walk of the tree. Determinism needs no
+// merge step: cells write disjoint parent and delay entries, so the
+// finished arrays are independent of which worker ran which cell.
+func wireParallel(res *Result, k, workers int, g cellGroups, dist tree.DistFunc,
+	mkConn func(bisect.Attacher) connector, in instr) error {
+	numCells := len(g.start) - 1
+	sink := &delaySink{
+		parentSink: *newParentSink(len(g.order) + 1),
+		delays:     make([]float64, len(g.order)+1),
+		dist:       dist,
+	}
 	conn := mkConn(sink)
 	endReps := in.phase("build/reps")
-	reps := chooseRepsParallel(g, conn, numCells, workers)
+	reps := make([]int32, numCells)
+	parCells(workers, 0, numCells, func(_, c int) {
+		reps[c] = repOf(g.order[g.start[c]:g.start[c+1]], c, conn)
+	})
 	endReps()
 	reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
+	byRing := func(fn func(w, c int)) {
+		for ring := 0; ring <= k; ring++ {
+			parCells(workers, grid.CellID(ring, 0), grid.CellID(ring+1, 0), fn)
+		}
+	}
 	endWire := in.phase("build/wire")
 	reg := in.obs
 	if reg.Enabled() {
 		// Instrumented pass: per-worker busy time and cell counts feed the
-		// utilization and skew gauges. Each worker writes only its own slot;
-		// parCells's WaitGroup publishes the slices to this goroutine.
+		// utilization and skew gauges; wall time spans every ring, so
+		// utilization also charges the idle time at ring barriers. Each
+		// worker writes only its own slot; parCells's WaitGroup publishes
+		// the slices to this goroutine.
 		wireStart := time.Now()
 		busyNs := make([]int64, workers)
 		cellCnt := make([]int64, workers)
-		parCells(workers, numCells, func(w, c int) {
+		byRing(func(w, c int) {
 			t0 := time.Now()
-			wireCell(sink, k, c, g, reps, conn, variant, in)
+			wireCell(sink, k, c, g, reps, conn, res.Variant, in)
 			busyNs[w] += int64(time.Since(t0))
 			cellCnt[w]++
 		})
@@ -277,14 +293,19 @@ func wireParallel(n, k, numCells, degCap, workers int, g cellGroups,
 			reg.Gauge("build/wire/cells_per_worker_skew").Set(float64(maxCells) / mean)
 		}
 	} else {
-		parCells(workers, numCells, func(_, c int) {
-			wireCell(sink, k, c, g, reps, conn, variant, instr{rec: in.rec, tid: in.tid})
+		byRing(func(_, c int) {
+			wireCell(sink, k, c, g, reps, conn, res.Variant, instr{rec: in.rec, tid: in.tid})
 		})
 	}
 	endWire()
-	t, err := sink.build(degCap)
+	t, err := sink.build(res.MaxOutDegree)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
+		return fmt.Errorf("core: incomplete wiring (bug): %w", err)
 	}
-	return t, reps, nil
+	endMetrics := in.phase("build/metrics")
+	res.Tree = t
+	res.Radius = maxOf(sink.delays)
+	res.CoreDelay = coreDelay(sink.delays, reps)
+	endMetrics()
+	return nil
 }

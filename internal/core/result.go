@@ -5,6 +5,10 @@ import "omtree/internal/tree"
 // Result is the outcome of a Polar_Grid build. Node 0 of the tree is the
 // source; node i >= 1 is receivers[i-1] of the Build call.
 type Result struct {
+	// Tree is the validated multicast tree. Its child adjacency is built
+	// lazily, by the first Children, BFSOrder or Delays call (the build
+	// computes its metrics during wiring and does not walk the finished
+	// tree); call Tree.Prepare before sharing it across goroutines.
 	Tree *tree.Tree
 
 	// Dim is the Euclidean dimension of the build.

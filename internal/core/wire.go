@@ -6,17 +6,18 @@ import (
 )
 
 // connector abstracts the dimension-specific pieces of the core wiring: the
-// polar radius of a node, the representative score, and the in-cell
+// arc-center scoring of a cell's members, point distances, and the in-cell
 // Bisection runs. Node ids follow the Result convention (0 = source).
 type connector interface {
-	// repScore ranks members as cell representatives: the distance to the
-	// center of the cell's inner arc ("the point that is closest to the
-	// center on the inner arc of the segment", §III-B). Smaller is better.
-	repScore(cellID int, id int32) float64
-	// relayScore ranks members as the next-ring relay of the binary
-	// variant: the distance to the center of the cell's outer arc, which
-	// lies between the two child-cell representatives. Smaller is better.
-	relayScore(cellID int, id int32) float64
+	// nearestArc returns the position in members (non-empty) of the member
+	// nearest the center of the cell's inner arc, or of its outer arc when
+	// outer is set, by squared distance, ties to the smallest node id. The
+	// inner arc ranks cell representatives ("the point that is closest to
+	// the center on the inner arc of the segment", §III-B); the outer arc,
+	// which lies between the two child-cell representatives, ranks the
+	// binary variant's next-ring relay. The cell's geometry is evaluated
+	// once per call, not once per member.
+	nearestArc(cellID int, outer bool, members []int32) int
 	// pointDist2 is the squared Euclidean distance between two nodes.
 	pointDist2(a, b int32) float64
 	// connectNatural runs the full-degree Bisection over the member nodes
@@ -52,39 +53,27 @@ func groupByCell(cellOf []int32, numCells int) cellGroups {
 	return cellGroups{start: start, order: order}
 }
 
-// chooseReps returns, per cell, the representative node: the member closest
-// to the center of the cell's inner arc (§III-B), ties broken by smallest
-// node id; -1 for empty cells.
-func chooseReps(g cellGroups, conn connector, numCells int) []int32 {
-	reps := make([]int32, numCells)
-	for c := 0; c < numCells; c++ {
-		members := g.order[g.start[c]:g.start[c+1]]
-		if len(members) == 0 {
-			reps[c] = -1
-			continue
-		}
-		best := members[0]
-		bestScore := conn.repScore(c, best)
-		for _, id := range members[1:] {
-			s := conn.repScore(c, id)
-			if s < bestScore || (s == bestScore && id < best) {
-				best, bestScore = id, s
-			}
-		}
-		reps[c] = best
+// repOf returns the cell's representative over an explicit member list: the
+// member closest to the center of the cell's inner arc (§III-B), ties to the
+// smallest id; -1 when empty.
+func repOf(members []int32, cellID int, conn connector) int32 {
+	if len(members) == 0 {
+		return -1
 	}
-	return reps
+	return members[conn.nearestArc(cellID, false, members)]
 }
 
-// wireCore attaches the entire tree: core edges between representatives,
-// ring by ring from the center out, plus the in-cell Bisection runs. The
-// source (node 0) acts as ring 0's representative. Interior cells (rings
-// 1..k-1) must be occupied. The ring-by-ring order matters only for sinks
-// (tree.Builder) that enforce top-down attachment.
-func wireCore(b bisect.Attacher, k int, g cellGroups, reps []int32, conn connector, variant Variant, in instr) {
-	for id := 0; id < grid.NumCells(k); id++ {
-		wireCell(b, k, id, g, reps, conn, variant, in)
+// argmin returns the position of the member with the smallest score, ties
+// to the smallest node id. The connectors' nearestArc implementations share
+// it, so every dimension breaks ties identically.
+func argmin(members []int32, score func(id int32) float64) int {
+	best, bestScore := 0, score(members[0])
+	for p := 1; p < len(members); p++ {
+		if s := score(members[p]); s < bestScore || (s == bestScore && members[p] < members[best]) {
+			best, bestScore = p, s
+		}
 	}
+	return best
 }
 
 // wireCell wires one grid cell: the core edges from the cell's
@@ -190,24 +179,12 @@ func wireBinaryCell(b bisect.Attacher, conn connector, rep int32, members, child
 		// Case 3: one member becomes the in-cell Bisection source, another
 		// (nearest the outer arc center, between the two child-cell
 		// representatives) relays the next ring.
-		bi := 0
-		bScore := conn.relayScore(cellID, members[0])
-		for p := 1; p < len(members); p++ {
-			if s := conn.relayScore(cellID, members[p]); s < bScore || (s == bScore && members[p] < members[bi]) {
-				bi, bScore = p, s
-			}
-		}
+		bi := conn.nearestArc(cellID, true, members)
 		relay := members[bi]
 		members[bi] = members[len(members)-1]
 		members = members[:len(members)-1]
 
-		ai := 0
-		aD := conn.pointDist2(members[0], rep)
-		for p := 1; p < len(members); p++ {
-			if d := conn.pointDist2(members[p], rep); d < aD || (d == aD && members[p] < members[ai]) {
-				ai, aD = p, d
-			}
-		}
+		ai := argmin(members, func(id int32) float64 { return conn.pointDist2(id, rep) })
 		local := members[ai]
 		members[ai] = members[len(members)-1]
 		members = members[:len(members)-1]

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"sync"
 
 	"omtree/internal/geom"
 )
@@ -84,6 +85,46 @@ func newOccBits(cap int) *occBits {
 // angular index.
 func (b *occBits) mark(depth, idx int) {
 	b.bits[depth][idx>>6] |= 1 << uint(idx&63)
+}
+
+// or merges another accumulator of the same cap into b.
+func (b *occBits) or(o *occBits) {
+	for l := 1; l <= b.cap-1; l++ {
+		for w, x := range o.bits[l] {
+			b.bits[l][w] |= x
+		}
+	}
+}
+
+// classify runs the verification pass over n points: fill(b, lo, hi) marks
+// points [lo, hi) into b. With workers > 1 the points are split into one
+// contiguous chunk per worker, each worker marks its own accumulator, and
+// the accumulators are OR-merged. OR is order-independent, so the merged
+// bitmaps — and every depth read from them — equal a serial pass's.
+func classify(cap, n, workers int, fill func(b *occBits, lo, hi int)) *occBits {
+	if workers <= 1 || n < 2 {
+		b := newOccBits(cap)
+		fill(b, 0, n)
+		return b
+	}
+	chunk := (n + workers - 1) / workers
+	parts := make([]*occBits, (n+chunk-1)/chunk)
+	var wg sync.WaitGroup
+	for w := range parts {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := newOccBits(cap)
+			fill(b, lo, hi)
+			parts[w] = b
+		}()
+	}
+	wg.Wait()
+	for _, p := range parts[1:] {
+		parts[0].or(p)
+	}
+	return parts[0]
 }
 
 // maxFeasible folds the bitmaps and returns the largest k in [1, cap] whose
@@ -186,8 +227,9 @@ func compactPairsOr(x uint64) uint64 {
 // MaxFeasibleKAnalytic returns exactly MaxFeasibleK(polars, scale, kMax),
 // computed with the occupancy-lemma estimate plus a single classification
 // pass instead of one bucketing trial per candidate depth (see the file
-// comment for why the two searches always agree).
-func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax int) int {
+// comment for why the two searches always agree). The pass is split over
+// workers goroutines; the answer does not depend on their number.
+func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax, workers int) int {
 	if kMax < 1 {
 		kMax = 1
 	}
@@ -196,13 +238,14 @@ func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax int) int {
 			return 1
 		}
 		ref := PolarGrid{K: cap, Scale: scale}
-		b := newOccBits(cap)
-		for _, c := range polars {
-			ring := ref.RingOf(c.R)
-			if ring > 0 && ring < cap {
-				b.mark(cap-ring, ref.SegIndexOf(ring, c.Theta))
+		b := classify(cap, len(polars), workers, func(b *occBits, lo, hi int) {
+			for _, c := range polars[lo:hi] {
+				ring := ref.RingOf(c.R)
+				if ring > 0 && ring < cap {
+					b.mark(cap-ring, ref.SegIndexOf(ring, c.Theta))
+				}
 			}
-		}
+		})
 		if k := b.maxFeasible(); k < cap || cap == kMax {
 			return k
 		}
@@ -210,8 +253,8 @@ func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax int) int {
 }
 
 // MaxFeasibleK3Analytic returns exactly MaxFeasibleK3(sphericals, scale,
-// kMax) via the analytic search.
-func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax int) int {
+// kMax) via the analytic search, split over workers goroutines.
+func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax, workers int) int {
 	if kMax < 1 {
 		kMax = 1
 	}
@@ -220,13 +263,14 @@ func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax int)
 			return 1
 		}
 		ref := SphereGrid3{K: cap, Scale: scale}
-		b := newOccBits(cap)
-		for _, c := range sphericals {
-			shell := ref.ShellOf(c.R)
-			if shell > 0 && shell < cap {
-				b.mark(cap-shell, ref.SegIndexOf(shell, c.Theta, c.U))
+		b := classify(cap, len(sphericals), workers, func(b *occBits, lo, hi int) {
+			for _, c := range sphericals[lo:hi] {
+				shell := ref.ShellOf(c.R)
+				if shell > 0 && shell < cap {
+					b.mark(cap-shell, ref.SegIndexOf(shell, c.Theta, c.U))
+				}
 			}
-		}
+		})
 		if k := b.maxFeasible(); k < cap || cap == kMax {
 			return k
 		}
@@ -237,8 +281,9 @@ func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax int)
 // via the analytic search. Beyond skipping the per-candidate bucketing
 // passes, it materializes one grid (at the capped resolution) instead of one
 // per candidate; the returned grid shares that grid's angular tables, which
-// are identical for every depth (levels do not depend on K).
-func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax int) (*GridD, error) {
+// are identical for every depth (levels do not depend on K). The
+// classification pass is split over workers goroutines.
+func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax, workers int) (*GridD, error) {
 	if kMax < 1 {
 		kMax = 1
 	}
@@ -255,13 +300,14 @@ func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax 
 		if cap <= 1 {
 			return ref, nil
 		}
-		b := newOccBits(cap)
-		for _, h := range hs {
-			shell := ref.ShellOf(h.R)
-			if shell > 0 && shell < cap {
-				b.mark(cap-shell, ref.SegIndexOf(shell, h))
+		b := classify(cap, len(hs), workers, func(b *occBits, lo, hi int) {
+			for _, h := range hs[lo:hi] {
+				shell := ref.ShellOf(h.R)
+				if shell > 0 && shell < cap {
+					b.mark(cap-shell, ref.SegIndexOf(shell, h))
+				}
 			}
-		}
+		})
 		k := b.maxFeasible()
 		if k == cap && cap < kMax {
 			continue

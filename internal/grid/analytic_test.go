@@ -190,14 +190,14 @@ func TestMaxFeasibleKAnalyticMatchesTrial2D(t *testing.T) {
 	for name, s := range polarSets() {
 		for _, kMax := range []int{1, 2, 5, 9, 14} {
 			want := MaxFeasibleK(s.pts, s.scale, kMax)
-			got := MaxFeasibleKAnalytic(s.pts, s.scale, kMax)
+			got := MaxFeasibleKAnalytic(s.pts, s.scale, kMax, 1)
 			if got != want {
 				t.Errorf("%s kMax=%d: analytic %d, trial %d", name, kMax, got, want)
 			}
 		}
 		// The production ceiling.
 		kMax := DefaultKMax(len(s.pts))
-		if got, want := MaxFeasibleKAnalytic(s.pts, s.scale, kMax), MaxFeasibleK(s.pts, s.scale, kMax); got != want {
+		if got, want := MaxFeasibleKAnalytic(s.pts, s.scale, kMax, 1), MaxFeasibleK(s.pts, s.scale, kMax); got != want {
 			t.Errorf("%s kMax=default(%d): analytic %d, trial %d", name, kMax, got, want)
 		}
 	}
@@ -209,7 +209,7 @@ func TestMaxFeasibleKAnalyticEscalates(t *testing.T) {
 		t.Fatalf("cap %d does not force escalation; tighten the construction", est)
 	}
 	want := MaxFeasibleK(pts, 1, 12)
-	got := MaxFeasibleKAnalytic(pts, 1, 12)
+	got := MaxFeasibleKAnalytic(pts, 1, 12, 1)
 	if got != want {
 		t.Fatalf("escalation: analytic %d, trial %d", got, want)
 	}
@@ -231,7 +231,7 @@ func TestMaxFeasibleK3AnalyticMatchesTrial(t *testing.T) {
 		}
 		for _, kMax := range []int{1, 4, 8, DefaultKMax(n)} {
 			want := MaxFeasibleK3(pts, scale, kMax)
-			got := MaxFeasibleK3Analytic(pts, scale, kMax)
+			got := MaxFeasibleK3Analytic(pts, scale, kMax, 1)
 			if got != want {
 				t.Errorf("n=%d kMax=%d: analytic %d, trial %d", n, kMax, got, want)
 			}
@@ -253,7 +253,7 @@ func TestMaxFeasibleKDAnalyticMatchesTrial(t *testing.T) {
 			}
 			for _, kMax := range []int{1, 4, DefaultKMax(n)} {
 				want, errW := MaxFeasibleKD(d, pts, scale, kMax)
-				got, errG := MaxFeasibleKDAnalytic(d, pts, scale, kMax)
+				got, errG := MaxFeasibleKDAnalytic(d, pts, scale, kMax, 1)
 				if (errW == nil) != (errG == nil) {
 					t.Fatalf("d=%d n=%d kMax=%d: error mismatch %v vs %v", d, n, kMax, errW, errG)
 				}
@@ -275,10 +275,10 @@ func TestMaxFeasibleKDAnalyticMatchesTrial(t *testing.T) {
 }
 
 func TestMaxFeasibleKDAnalyticErrors(t *testing.T) {
-	if _, err := MaxFeasibleKDAnalytic(1, nil, 1, 5); err == nil {
+	if _, err := MaxFeasibleKDAnalytic(1, nil, 1, 5, 1); err == nil {
 		t.Error("dimension 1 accepted")
 	}
-	if _, err := MaxFeasibleKDAnalytic(3, nil, 1, 40); err == nil {
+	if _, err := MaxFeasibleKDAnalytic(3, nil, 1, 40, 1); err == nil {
 		t.Error("kMax 40 accepted (trial loop would fail to materialize)")
 	}
 }
@@ -288,8 +288,155 @@ func TestAnalyticOutOfDiskPoints(t *testing.T) {
 	// searches.
 	pts := []geom.Polar{{R: 2, Theta: 0}, {R: 3, Theta: 3}, {R: 0.1, Theta: 1}}
 	for _, kMax := range []int{1, 3, 6} {
-		if got, want := MaxFeasibleKAnalytic(pts, 1, kMax), MaxFeasibleK(pts, 1, kMax); got != want {
+		if got, want := MaxFeasibleKAnalytic(pts, 1, kMax, 1), MaxFeasibleK(pts, 1, kMax); got != want {
 			t.Errorf("kMax=%d: analytic %d, trial %d", kMax, got, want)
+		}
+	}
+}
+
+// designedCells3 places one point at the center of every interior cell of a
+// depth-k sphere grid, so the analytic cap underestimates the feasible depth.
+func designedCells3(k int) []geom.Spherical {
+	g := SphereGrid3{K: k, Scale: 1}
+	var pts []geom.Spherical
+	for shell := 1; shell < k; shell++ {
+		for j := 0; j < CellsInRing(shell); j++ {
+			c := g.Cell(shell, j)
+			pts = append(pts, geom.Spherical{
+				R:     (c.RMin + c.RMax) / 2,
+				Theta: (c.ThetaMin + c.ThetaMax) / 2,
+				U:     (c.UMin + c.UMax) / 2,
+			})
+		}
+	}
+	return append(pts, geom.Spherical{R: 1, U: 1}) // pin the scale
+}
+
+// designedCellsD is designedCells3 for the d-dimensional grid.
+func designedCellsD(t *testing.T, d, k int) []geom.Hyperspherical {
+	g, err := NewGridD(d, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []geom.Hyperspherical
+	for shell := 1; shell < k; shell++ {
+		for j := 0; j < CellsInRing(shell); j++ {
+			c := g.Cell(shell, j)
+			h := geom.Hyperspherical{
+				R:     (c.RMin + c.RMax) / 2,
+				Theta: (c.ThetaMin + c.ThetaMax) / 2,
+				Phi:   make([]float64, d-2),
+			}
+			for m := range h.Phi {
+				h.Phi[m] = (c.PhiMin[m] + c.PhiMax[m]) / 2
+			}
+			pts = append(pts, h)
+		}
+	}
+	return append(pts, geom.Hyperspherical{R: 1, Phi: make([]float64, d-2)})
+}
+
+// TestParallelKSearchMatchesTrial: splitting the analytic classification
+// pass over 1..8 workers returns exactly the trial loop's depth, including
+// inputs with fewer points than workers, points on exact circle radii,
+// angles one ulp below 2*pi, and designed sets that force the uncapped
+// second pass.
+func TestParallelKSearchMatchesTrial(t *testing.T) {
+	below2Pi := math.Nextafter(geom.TwoPi, 0)
+	sets := polarSets()
+	r := rng.New(11)
+	ulp := make([]geom.Polar, 2000)
+	for i := range ulp {
+		ulp[i] = r.UniformDisk(1).ToPolar()
+		if i%7 == 0 {
+			ulp[i].Theta = below2Pi
+		}
+	}
+	sets["theta-below-2pi"] = struct {
+		pts   []geom.Polar
+		scale float64
+	}{ulp, 1}
+	sets["designed-escalation"] = struct {
+		pts   []geom.Polar
+		scale float64
+	}{designedOccupancy(10), 1}
+	for name, s := range sets {
+		for _, kMax := range []int{3, 12, DefaultKMax(len(s.pts))} {
+			want := MaxFeasibleK(s.pts, s.scale, kMax)
+			for w := 1; w <= 8; w++ {
+				if got := MaxFeasibleKAnalytic(s.pts, s.scale, kMax, w); got != want {
+					t.Errorf("2d %s kMax=%d workers=%d: %d, trial %d", name, kMax, w, got, want)
+				}
+			}
+		}
+	}
+
+	sph := map[string][]geom.Spherical{"designed-escalation": designedCells3(9)}
+	for _, n := range []int{1, 3, 7, 3000} {
+		pts := make([]geom.Spherical, n)
+		for i := range pts {
+			pts[i] = r.UniformBall3(1).SphericalAround(geom.Point3{})
+			if i%5 == 0 {
+				pts[i].Theta = below2Pi
+			}
+		}
+		pts[0].R = 1 // pin the scale
+		sph[fmt.Sprintf("uniform-%d", n)] = pts
+	}
+	var shells []geom.Spherical
+	g3 := SphereGrid3{K: 6, Scale: 1}
+	for s := 0; s <= 6; s++ {
+		for j := 0; j < 16; j++ {
+			shells = append(shells, geom.Spherical{R: g3.SphereRadius(s), Theta: geom.TwoPi * float64(j) / 16, U: float64(j)/8 - 1})
+		}
+	}
+	sph["shell-boundaries"] = shells
+	for name, pts := range sph {
+		for _, kMax := range []int{3, 12} {
+			want := MaxFeasibleK3(pts, 1, kMax)
+			if name == "designed-escalation" && kMax == 12 && analyticCap(len(pts), kMax) >= want {
+				t.Fatalf("3d designed set reaches k=%d, inside the cap: escalation untested", want)
+			}
+			for w := 1; w <= 8; w++ {
+				if got := MaxFeasibleK3Analytic(pts, 1, kMax, w); got != want {
+					t.Errorf("3d %s kMax=%d workers=%d: %d, trial %d", name, kMax, w, got, want)
+				}
+			}
+		}
+	}
+
+	for _, d := range []int{3, 4} {
+		hs := map[string][]geom.Hyperspherical{"designed-escalation": designedCellsD(t, d, 9)}
+		for _, n := range []int{2, 5, 2500} {
+			pts := make([]geom.Hyperspherical, n)
+			for i := range pts {
+				pts[i] = r.UniformBallD(d, 1).ToHyperspherical()
+				if i%5 == 0 {
+					pts[i].Theta = below2Pi
+				}
+			}
+			pts[0].R = 1
+			hs[fmt.Sprintf("uniform-%d", n)] = pts
+		}
+		for name, pts := range hs {
+			for _, kMax := range []int{3, 12} {
+				want, err := MaxFeasibleKD(d, pts, 1, kMax)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "designed-escalation" && kMax == 12 && analyticCap(len(pts), kMax) >= want.K {
+					t.Fatalf("d=%d designed set reaches k=%d, inside the cap: escalation untested", d, want.K)
+				}
+				for w := 1; w <= 8; w++ {
+					got, err := MaxFeasibleKDAnalytic(d, pts, 1, kMax, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.K != want.K {
+						t.Errorf("d=%d %s kMax=%d workers=%d: K=%d, trial %d", d, name, kMax, w, got.K, want.K)
+					}
+				}
+			}
 		}
 	}
 }

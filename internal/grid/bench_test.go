@@ -45,7 +45,7 @@ func BenchmarkBuildGridAnalytic(b *testing.B) {
 	polars := benchPolars(b, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MaxFeasibleKAnalytic(polars, 1, DefaultKMax(len(polars)))
+		_ = MaxFeasibleKAnalytic(polars, 1, DefaultKMax(len(polars)), 1)
 	}
 }
 

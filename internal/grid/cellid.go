@@ -1,6 +1,9 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CellID returns the global id of cell idx within ring — ring i holds 2^i
 // cells and rings are numbered from the center out, so the id is
@@ -10,14 +13,13 @@ func CellID(ring, idx int) int {
 }
 
 // RingIdx inverts CellID, returning the (ring, idx) pair of a global id.
+// Ring r holds ids [2^r - 1, 2^(r+1) - 1), so id+1 has its top bit at
+// position r.
 func RingIdx(id int) (ring, idx int) {
 	if id < 0 {
 		panic(fmt.Sprintf("grid: negative cell id %d", id))
 	}
-	ring = 0
-	for 1<<uint(ring+1)-1 <= id {
-		ring++
-	}
+	ring = bits.Len(uint(id+1)) - 1
 	return ring, id - (1<<uint(ring) - 1)
 }
 

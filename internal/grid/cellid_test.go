@@ -54,3 +54,23 @@ func TestRingIdxPanicsOnNegative(t *testing.T) {
 	}()
 	RingIdx(-1)
 }
+
+// ringIdxLoop is the linear-scan RingIdx the bit-length form replaced.
+func ringIdxLoop(id int) (ring, idx int) {
+	for 1<<uint(ring+1)-1 <= id {
+		ring++
+	}
+	return ring, id - (1<<uint(ring) - 1)
+}
+
+// TestRingIdxMatchesLoop: the bit-length RingIdx agrees with the linear
+// ring scan for every cell id of a depth-20 grid.
+func TestRingIdxMatchesLoop(t *testing.T) {
+	for id := 0; id < NumCells(20); id++ {
+		r, i := RingIdx(id)
+		wr, wi := ringIdxLoop(id)
+		if r != wr || i != wi {
+			t.Fatalf("RingIdx(%d) = (%d, %d), loop gives (%d, %d)", id, r, i, wr, wi)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func TestSubsetMatchesDense(t *testing.T) {
 			if got, want := MaxFeasibleKSlots(pts, slots, scale, kMax), MaxFeasibleK(dense, scale, kMax); got != want {
 				t.Fatalf("MaxFeasibleKSlots: got %d, want %d", got, want)
 			}
-			if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax), MaxFeasibleKAnalytic(dense, scale, kMax); got != want {
+			if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax), MaxFeasibleKAnalytic(dense, scale, kMax, 1); got != want {
 				t.Fatalf("MaxFeasibleKAnalyticSlots: got %d, want %d", got, want)
 			}
 			// The two subset searches must also agree with each other at any

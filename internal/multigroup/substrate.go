@@ -84,7 +84,7 @@ func NewSubstrate(hosts []geom.Point2, opts ...SubstrateOption) (*Substrate, err
 		}
 	}
 	if scale > 0 {
-		s.refK = grid.MaxFeasibleKAnalytic(polars, scale, grid.DefaultKMax(len(hosts)))
+		s.refK = grid.MaxFeasibleKAnalytic(polars, scale, grid.DefaultKMax(len(hosts)), 1)
 		s.refG = grid.PolarGrid{K: s.refK, Scale: scale}
 	}
 	for _, o := range opts {

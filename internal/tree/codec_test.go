@@ -2,7 +2,9 @@ package tree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,5 +142,26 @@ func TestWriteDOT(t *testing.T) {
 	}
 	if strings.Contains(noLabels.String(), "label") {
 		t.Error("labels present without label func")
+	}
+}
+
+// TestReadBinaryHugeCountShortStream: a header claiming the maximum node
+// count over a stream that ends after a few parents is rejected without
+// allocating for the claimed count (FuzzCodecRoundTrip's workers were
+// killed for memory on such inputs).
+func TestReadBinaryHugeCountShortStream(t *testing.T) {
+	data := append([]byte(nil), binaryMagic[:]...)
+	data = binary.AppendUvarint(data, 1<<31)
+	data = binary.AppendUvarint(data, 0)
+	data = binary.AppendVarint(data, -1)
+	data = binary.AppendVarint(data, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		t.Fatal("truncated stream accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes", len(data), grew)
 	}
 }

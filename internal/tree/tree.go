@@ -89,7 +89,11 @@ func (t *Tree) adjacency() {
 }
 
 // Prepare forces construction of the internal adjacency so that subsequent
-// metric calls are safe to run concurrently.
+// metric calls are safe to run concurrently. Builders, decoders and
+// FromParents return trees whose adjacency is not built yet: the first
+// Children, OutDegree, BFSOrder, Delays (or other walk) builds it without
+// locking, so a tree shared across goroutines must be prepared before it is
+// shared.
 func (t *Tree) Prepare() { t.adjacency() }
 
 // Children returns the children of node i. The returned slice aliases
