@@ -1,11 +1,11 @@
 #!/bin/sh
 # ci.sh — the repo's full gate: formatting, vet, the regular test suite,
 # the benchmark harness's own tests, the race-detector run that guards the
-# parallel build pipeline and the shared multi-group substrate, and short
-# fuzz smokes over the codec, fault-schedule, partition-schedule,
-# drift-schedule, incremental-rebuild, multi-group, SLO-rule, and snapshot
-# round-trip fuzzers. `ci.sh bench`
-# runs the benchmark regression gate instead.
+# parallel build pipeline and the shared multi-group substrate, the
+# build-state differential at 1 and 4 CPUs, and short fuzz smokes over
+# the codec, fault-schedule, partition-schedule, drift-schedule,
+# incremental-rebuild, multi-group, SLO-rule, and snapshot round-trip
+# fuzzers. `ci.sh bench` runs the benchmark regression gate instead.
 set -eu
 
 cd "$(dirname "$0")"
@@ -80,6 +80,12 @@ check_cover ./internal/snapshot 90
 
 echo "== go test -race =="
 go test -race ./...
+
+# The serial BuildState against Build2's default worker choice, at one CPU
+# (serial Build2) and four (parallel Build2 above its size threshold),
+# whatever the runner's core count.
+echo "== build-state differential at 1 and 4 CPUs =="
+go test -run '^(TestBuildStateMatchesFromScratch|TestBuildMetricsMatchTreeDelays)$' -cpu 1,4 ./internal/core
 
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzWireRoundTrip$' -fuzztime=10s ./internal/core

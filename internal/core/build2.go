@@ -93,43 +93,55 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 	}
 
 	res := &Result{Dim: 2, Variant: variant, MaxOutDegree: degCap, Scale: scale}
+	if _, _, err := buildPolar(res, o, workers, polars, dist, in); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// buildPolar is the 2-D Polar_Grid pipeline after coordinate conversion,
+// shared by Build2 and BuildState's full rebuild: the ring-count search,
+// cell bucketing, representatives, and the ring-ordered wiring with its
+// fused eq. 7 metrics. polars[i] is node i around the source (polars[0] is
+// the source itself) and dist is the tree's edge length; res arrives with
+// Variant, MaxOutDegree and Scale set and leaves filled in. It returns each
+// receiver's cell (cellOf[i] is node i+1's) and each cell's representative
+// node, or nil slices when the geometry is degenerate.
+func buildPolar(res *Result, o options, workers int, polars []geom.Polar, dist tree.DistFunc, in instr) (cellOf, reps []int32, err error) {
+	n, scale := len(polars)-1, res.Scale
 	if n == 0 || scale == 0 {
 		// No receivers, or all coincident with the source: geometry is
 		// degenerate and any balanced tree is optimal (zero-length edges).
-		if res.Tree, err = buildDegenerate(n, degCap); err != nil {
-			return nil, err
-		}
-		return res, nil
+		res.Tree, err = buildDegenerate(n, res.MaxOutDegree)
+		return nil, nil, err
 	}
 
 	endGrid := in.phase("build/grid")
 	k, err := pickK(o, n, func(k int) bool {
 		return grid.PolarGrid{K: k, Scale: scale}.InteriorOccupied(polars[1:])
 	}, func(kMax int) int {
-		if o.trialK {
-			return grid.MaxFeasibleK(polars[1:], scale, kMax)
-		}
 		return grid.MaxFeasibleKAnalytic(polars[1:], scale, kMax, workers)
 	})
 	endGrid()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g := grid.PolarGrid{K: k, Scale: scale}
 
 	endBucket := in.phase("build/bucketing")
-	cellOf := make([]int32, n)
+	cellOf = make([]int32, n)
 	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(polars[i+1])) })
 	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
 	endBucket()
 	res.K = k
-	res.Bound = g.UpperBound(arcCoeff(variant))
-	if err := wireParallel(res, k, workers, groups, dist, func(a bisect.Attacher) connector {
+	res.Bound = g.UpperBound(arcCoeff(res.Variant))
+	reps, err = wireParallel(res, k, workers, groups, dist, func(a bisect.Attacher) connector {
 		return &conn2{ctx: &bisect.Ctx2{B: a, Pts: polars}, g: g}
-	}, in); err != nil {
-		return nil, err
+	}, in)
+	if err != nil {
+		return nil, nil, err
 	}
-	return res, nil
+	return cellOf, reps, nil
 }
 
 // arcCoeff is the Delta_0 coefficient of upper bound (7): 2 for the natural

@@ -111,9 +111,6 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	k, err := pickK(o, n, func(k int) bool {
 		return grid.SphereGrid3{K: k, Scale: scale}.InteriorOccupied(sph[1:])
 	}, func(kMax int) int {
-		if o.trialK {
-			return grid.MaxFeasibleK3(sph[1:], scale, kMax)
-		}
 		return grid.MaxFeasibleK3Analytic(sph[1:], scale, kMax, workers)
 	})
 	endGrid()
@@ -129,7 +126,7 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	endBucket()
 	res.K = k
 	res.Bound = g.UpperBound(arcCoeff(variant))
-	if err := wireParallel(res, k, workers, groups, dist, func(a bisect.Attacher) connector {
+	if _, err := wireParallel(res, k, workers, groups, dist, func(a bisect.Attacher) connector {
 		return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
 	}, in); err != nil {
 		return nil, err

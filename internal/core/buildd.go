@@ -121,11 +121,7 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 		if kMax <= 0 {
 			kMax = grid.DefaultKMax(n)
 		}
-		if o.trialK {
-			g, err = grid.MaxFeasibleKD(d, hs[1:], scale, kMax)
-		} else {
-			g, err = grid.MaxFeasibleKDAnalytic(d, hs[1:], scale, kMax, workers)
-		}
+		g, err = grid.MaxFeasibleKDAnalytic(d, hs[1:], scale, kMax, workers)
 		if err != nil {
 			endGrid()
 			return nil, err
@@ -140,7 +136,7 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	endBucket()
 	res.K = g.K
 	res.Bound = g.UpperBound(arcCoeff(variant))
-	if err := wireParallel(res, g.K, workers, groups, dist, func(a bisect.Attacher) connector {
+	if _, err := wireParallel(res, g.K, workers, groups, dist, func(a bisect.Attacher) connector {
 		return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
 	}, in); err != nil {
 		return nil, err

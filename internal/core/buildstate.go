@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"omtree/internal/bisect"
 	"omtree/internal/geom"
@@ -87,9 +88,10 @@ type BuildState struct {
 }
 
 // NewBuildState returns an empty incremental build around the given source.
-// It accepts the same options as Build2; WithParallelism is ignored (the
-// incremental path is serial — parallel and serial builds are identical
-// anyway).
+// It accepts the same options as Build2. WithParallelism is ignored: a full
+// rebuild runs Build2's own pipeline over the live members with one worker,
+// an incremental one rewires the dirty cells serially, and every worker
+// count builds the identical tree anyway.
 func NewBuildState(source geom.Point2, opts ...Option) (*BuildState, error) {
 	s, err := newBuildState(opts)
 	if err != nil {
@@ -168,14 +170,18 @@ func (s *BuildState) SetFlight(fr *flight.Recorder) {
 
 // MemoryBytes estimates the state's private resident size (membership,
 // cell, and parent arrays; the geometry is counted separately, since shared
-// geometries amortize across states).
+// geometries amortize across states). Each cell's member list costs its
+// slice header plus its backing array.
 func (s *BuildState) MemoryBytes() int64 {
 	n := int64(len(s.present)) + 4*int64(len(s.cellOf)+len(s.parent)+len(s.reps)+len(s.cnt1))
 	for _, m := range s.members {
-		n += 4 * int64(cap(m))
+		n += sliceHeaderBytes + 4*int64(cap(m))
 	}
 	return n
 }
+
+// sliceHeaderBytes is the size of a slice header: pointer, length, capacity.
+const sliceHeaderBytes = int64(unsafe.Sizeof([]int32(nil)))
 
 // ensureSlot grows the slot-indexed arrays to cover slot. Only an owning
 // state may grow its geometry; a shared state's slots are fixed at
@@ -317,7 +323,9 @@ func (s *BuildState) kChanged() bool {
 // Rebuild returns the tree over the current membership, exactly as Build2
 // would build it from scratch. The boolean reports whether a full rebuild
 // ran (true) or the dirty-cell incremental path / the unchanged-membership
-// cache (false). The first call after construction is always full.
+// cache (false). The first call after construction is always full. Like
+// Build2's, a full rebuild's tree builds its child adjacency lazily: call
+// Tree.Prepare before sharing it across goroutines.
 func (s *BuildState) Rebuild() (*Result, bool, error) {
 	if s.last != nil {
 		return s.last, false, nil
@@ -346,71 +354,59 @@ func (s *BuildState) Rebuild() (*Result, bool, error) {
 	return res, full, nil
 }
 
-// liveSlots returns the live slots in ascending order — the slot -> dense-id
-// mapping of the exported tree.
-func (s *BuildState) liveSlots() []int32 {
-	slots := make([]int32, 0, s.n)
+// nodeSlots returns the exported tree's dense node id -> slot mapping: the
+// source's slot 0, then the live slots in ascending order.
+func (s *BuildState) nodeSlots() []int32 {
+	slotOf := make([]int32, 1, s.n+1)
 	for sl := 1; sl < len(s.present); sl++ {
 		if s.present[sl] {
-			slots = append(slots, int32(sl))
+			slotOf = append(slotOf, int32(sl))
 		}
 	}
-	return slots
+	return slotOf
 }
 
-// rebuildFull reconstructs everything from the slot membership, mirroring
-// the serial Build2 pipeline phase by phase.
+// rebuildFull runs Build2's pipeline (buildPolar), serially, over the live
+// slots' stored polars gathered into a dense slice, then, in its
+// build/export phase, derives the retained state from the pipeline's
+// outputs: slot-space cell lists, representatives and parents, plus the
+// depth-k+1 occupancy counters. Dead slots keep their stale cellOf entries.
 func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	endConv := in.phase("build/convert")
-	slots := s.liveSlots()
+	slotOf := s.nodeSlots()
 	pts := s.geo.pts
-	var scale float64
-	for _, sl := range slots {
-		if r := pts[sl].R; r > scale {
-			scale = r
-		}
-	}
+	polars := make([]geom.Polar, len(slotOf))
+	scale := convertCoords(1, slotOf[1:], polars,
+		func(sl int32) geom.Polar { return pts[sl] },
+		func(c geom.Polar) float64 { return c.R })
 	s.scale = scale
 	endConv()
 
 	res := &Result{Dim: 2, Variant: s.variant, MaxOutDegree: s.degCap, Scale: scale}
-	if s.n == 0 || scale == 0 {
-		// Degenerate geometry: stay unbuilt so the next rebuild re-evaluates
-		// from scratch (there is no grid state worth retaining).
-		s.built, s.needFull = false, false
-		s.cert = Certificate{}
-		clear(s.dirty)
-		var err error
-		if res.Tree, err = buildDegenerate(s.n, s.degCap); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	endGrid := in.phase("build/grid")
-	k, err := pickK(s.o, s.n, func(k int) bool {
-		return grid.PolarGrid{K: k, Scale: scale}.InteriorOccupiedSlots(pts, slots)
-	}, func(kMax int) int {
-		if s.o.trialK {
-			return grid.MaxFeasibleKSlots(pts, slots, scale, kMax)
-		}
-		return grid.MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax)
-	})
-	endGrid()
+	dist := func(i, j int) float64 { return s.geo.pos(slotOf[i]).Dist(s.geo.pos(slotOf[j])) }
+	in.node = slotOf // trace events name slots, as incremental rebuilds do
+	cellOf, reps, err := buildPolar(res, s.o, 1, polars, dist, in)
 	if err != nil {
 		return nil, err
 	}
-	s.k = k
-	s.g = grid.PolarGrid{K: k, Scale: scale}
-	s.g1 = grid.PolarGrid{K: k + 1, Scale: scale}
+	clear(s.dirty)
+	s.cert = Certificate{Bound: res.Bound, Radius: res.Radius}
+	if cellOf == nil {
+		// Degenerate geometry: stay unbuilt so the next rebuild re-evaluates
+		// from scratch (there is no grid state worth retaining).
+		s.built, s.needFull = false, false
+		return res, nil
+	}
 
-	endBucket := in.phase("build/bucketing")
-	numCells := grid.NumCells(k)
-	s.members = make([][]int32, numCells)
-	s.cnt1 = make([]int32, grid.NumCells(k+1))
-	for _, sl := range slots {
-		cell := s.g.CellOf(pts[sl])
-		s.cellOf[sl] = int32(cell)
+	endExp := in.phase("build/export")
+	s.k = res.K
+	s.g = grid.PolarGrid{K: s.k, Scale: scale}
+	s.g1 = grid.PolarGrid{K: s.k + 1, Scale: scale}
+	s.members = make([][]int32, grid.NumCells(s.k))
+	s.cnt1 = make([]int32, grid.NumCells(s.k+1))
+	for i, cell := range cellOf {
+		sl := slotOf[i+1]
+		s.cellOf[sl] = cell
 		s.members[cell] = append(s.members[cell], sl) // slots ascend, so lists stay sorted
 		c1 := s.g1.CellOf(pts[sl])
 		if r1, _ := grid.RingIdx(c1); r1 > 0 && r1 < s.g1.K {
@@ -424,31 +420,22 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 			s.empty1++
 		}
 	}
-	endBucket()
-
+	for c, r := range reps {
+		if r >= 0 {
+			reps[c] = slotOf[r]
+		}
+	}
+	s.reps = reps
 	for i := range s.parent {
 		s.parent[i] = unattachedNode
 	}
 	s.parent[0] = tree.NoParent
-	sink := &parentSink{parents: s.parent}
-	conn := &conn2{ctx: &bisect.Ctx2{B: sink, Pts: pts}, g: s.g}
-	endReps := in.phase("build/reps")
-	s.reps = make([]int32, numCells)
-	s.reps[0] = -1 // the source itself anchors ring 0
-	for c := 1; c < numCells; c++ {
-		s.reps[c] = repOf(s.members[c], c, conn)
+	for v := 1; v < len(slotOf); v++ {
+		s.parent[slotOf[v]] = slotOf[res.Tree.Parent(v)]
 	}
-	endReps()
-	endWire := in.phase("build/wire")
-	var scratch []int32
-	for id := 0; id < numCells; id++ {
-		scratch = append(scratch[:0], s.members[id]...)
-		wireCellMembers(sink, k, id, scratch, s.reps, conn, s.variant, in)
-	}
-	endWire()
+	endExp()
 	s.built, s.needFull = true, false
-	clear(s.dirty)
-	return s.exportResult(in, res, slots)
+	return res, nil
 }
 
 // rebuildIncremental re-runs representative selection and wiring for the
@@ -519,25 +506,26 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	endWire()
 	clear(s.dirty)
 	res := &Result{Dim: 2, Variant: s.variant, MaxOutDegree: s.degCap, Scale: s.scale}
-	return s.exportResult(in, res, s.liveSlots())
+	return s.exportResult(in, res, s.nodeSlots())
 }
 
 // exportResult compacts the slot-space parent array into a dense validated
-// tree and computes the Result metrics, mirroring Build2's metrics phase.
-func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result, error) {
+// tree over slotOf (nodeSlots) and computes the Result metrics with a walk
+// of that tree.
+func (s *BuildState) exportResult(in instr, res *Result, slotOf []int32) (*Result, error) {
 	endExp := in.phase("build/export")
 	rank := make([]int32, len(s.present))
-	for i, sl := range slots {
-		rank[sl] = int32(i + 1)
+	for v, sl := range slotOf {
+		rank[sl] = int32(v)
 	}
-	parents := make([]int32, len(slots)+1)
+	parents := make([]int32, len(slotOf))
 	parents[0] = tree.NoParent
-	for i, sl := range slots {
-		p := s.parent[sl]
+	for v := 1; v < len(slotOf); v++ {
+		p := s.parent[slotOf[v]]
 		if p < 0 {
-			return nil, fmt.Errorf("core: incomplete wiring (bug): slot %d unattached", sl)
+			return nil, fmt.Errorf("core: incomplete wiring (bug): slot %d unattached", slotOf[v])
 		}
-		parents[i+1] = rank[p]
+		parents[v] = rank[p]
 	}
 	t, err := tree.FromParents(0, parents, s.degCap)
 	if err != nil {
@@ -547,17 +535,7 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 	endExp()
 
 	endMetrics := in.phase("build/metrics")
-	dist := func(i, j int) float64 {
-		pi, pj := s.geo.source, s.geo.source
-		if i > 0 {
-			pi = s.geo.pos(slots[i-1])
-		}
-		if j > 0 {
-			pj = s.geo.pos(slots[j-1])
-		}
-		return pi.Dist(pj)
-	}
-	delays := t.Delays(dist)
+	delays := t.Delays(func(i, j int) float64 { return s.geo.pos(slotOf[i]).Dist(s.geo.pos(slotOf[j])) })
 	res.K = s.k
 	res.Radius = maxOf(delays)
 	var cd float64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"omtree/internal/geom"
@@ -130,6 +131,33 @@ func TestBuildStateMatchesFromScratch(t *testing.T) {
 		}
 		h.check()
 
+		// Above the parallel build threshold: Build2's default worker
+		// choice goes parallel on multi-core runners while the state stays
+		// serial. Grow to 5,000 members, churn, then drain.
+		for len(h.slots) < 5000 {
+			h.add(source.Add(r.UniformDisk(1)))
+			if len(h.slots)%250 == 0 {
+				h.check()
+			}
+		}
+		for i := 0; i < 500; i++ {
+			if r.Intn(2) == 0 {
+				h.remove(r.Intn(len(h.slots)))
+			} else {
+				h.add(source.Add(r.UniformDisk(1)))
+			}
+			if i%25 == 0 {
+				h.check()
+			}
+		}
+		h.check()
+		for len(h.slots) > 0 {
+			h.remove(r.Intn(len(h.slots)))
+			if len(h.slots)%250 == 0 {
+				h.check()
+			}
+		}
+
 		if h.incs == 0 {
 			t.Fatalf("deg %d: incremental path never ran (%d fulls)", deg, h.fulls)
 		}
@@ -211,4 +239,109 @@ func TestBuildStateForceKParity(t *testing.T) {
 	theta := geom.TwoPi * (float64(j) + 0.5) / float64(grid.CellsInRing(ring))
 	h.add(source.Add(geom.Polar{R: rMid, Theta: theta}.ToPoint()))
 	h.check()
+}
+
+// TestSharedSubsetMatchesDense: a state borrowing a shared geometry and
+// holding a pseudo-random subset of its slots — one multi-group group —
+// gathers that subset densely for its full rebuild and must build exactly
+// what Build2 builds over the subset's positions, at the automatic depth
+// and under kMax ceilings below and above it.
+func TestSharedSubsetMatchesDense(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		keep float64
+	}{
+		{50, 1.0}, {500, 0.5}, {3000, 0.2}, {3000, 1.0}, {40, 0.1},
+	} {
+		t.Run(fmt.Sprintf("n%d_keep%v", tc.n, tc.keep), func(t *testing.T) {
+			r := rng.New(uint64(tc.n)*7 + uint64(tc.keep*100))
+			source := geom.Point2{X: 0.2, Y: -0.1}
+			hosts := r.UniformDiskN(tc.n, 1)
+			geo := NewSlotGeometry(source, hosts)
+			var slots []int
+			var members []geom.Point2
+			for h, p := range hosts {
+				if r.Float64() < tc.keep {
+					slots = append(slots, h+1)
+					members = append(members, p)
+				}
+			}
+			kMax := grid.DefaultKMax(len(members))
+			for _, ceiling := range []int{0, 1, 2, kMax / 2, kMax + 3} {
+				opts := []Option{WithKMax(ceiling)}
+				bs, err := NewBuildStateShared(geo, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sl := range slots {
+					bs.AddSlot(sl)
+				}
+				assertSameResult(t, fmt.Sprintf("kMax=%d", ceiling), bs, source, members, opts)
+			}
+		})
+	}
+}
+
+// TestSharedSubsetEmptyAndSingle covers the degenerate memberships a group
+// can hold: no members, and one member.
+func TestSharedSubsetEmptyAndSingle(t *testing.T) {
+	hosts := []geom.Point2{{X: 0.5, Y: 0.1}, {X: -0.3, Y: 0.2}}
+	geo := NewSlotGeometry(geom.Point2{}, hosts)
+	bs, err := NewBuildStateShared(geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "empty", bs, geom.Point2{}, nil, nil)
+	bs.AddSlot(2)
+	assertSameResult(t, "single", bs, geom.Point2{}, hosts[1:], nil)
+}
+
+// assertSameResult rebuilds bs and requires Build2's result over members.
+func assertSameResult(t *testing.T, name string, bs *BuildState, source geom.Point2, members []geom.Point2, opts []Option) {
+	t.Helper()
+	got, _, err := bs.Rebuild()
+	if err != nil {
+		t.Fatalf("%s: state: %v", name, err)
+	}
+	want, err := Build2(source, members, opts...)
+	if err != nil {
+		t.Fatalf("%s: Build2: %v", name, err)
+	}
+	if got.K != want.K {
+		t.Fatalf("%s: k = %d, Build2 picked %d", name, got.K, want.K)
+	}
+	if !bytes.Equal(treeBytes(t, got.Tree), treeBytes(t, want.Tree)) {
+		t.Fatalf("%s: tree differs from Build2", name)
+	}
+	if got.Radius != want.Radius || got.CoreDelay != want.CoreDelay || got.Bound != want.Bound || got.Scale != want.Scale {
+		t.Fatalf("%s: metrics differ: %+v vs %+v", name, got, want)
+	}
+}
+
+// TestBuildStateMemoryBytes: the estimate charges every slot-indexed
+// array, and every cell's member list its slice header on top of its
+// backing array — empty cells included.
+func TestBuildStateMemoryBytes(t *testing.T) {
+	r := rng.New(12)
+	bs, err := NewBuildState(geom.Point2{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range r.UniformDiskN(100, 1) {
+		bs.Add(i+1, p)
+	}
+	if _, _, err := bs.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	cells := grid.NumCells(bs.k)
+	if len(bs.members) != cells {
+		t.Fatalf("%d member lists for %d cells", len(bs.members), cells)
+	}
+	want := int64(101) + 4*int64(101+101+cells+grid.NumCells(bs.k+1)) // present; cellOf, parent, reps, cnt1
+	for _, m := range bs.members {
+		want += sliceHeaderBytes + 4*int64(cap(m))
+	}
+	if got := bs.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d (k = %d)", got, want, bs.k)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"omtree/internal/geom"
@@ -56,4 +57,46 @@ func TestFlightSampledBuild(t *testing.T) {
 	if fr.Total() != 2 {
 		t.Fatalf("samples after state rebuild = %d, want 2", fr.Total())
 	}
+
+	// Parallel builds set the wire pool's wall-clock gauges: the registry
+	// reports them, but samples skip them, so two identical builds sample
+	// identically.
+	var samples [2]flight.Sample
+	for i := range samples {
+		reg := obs.New()
+		fr := flight.New(reg, flight.Config{})
+		if _, err := Build2(geom.Point2{}, recv,
+			WithParallelism(2), WithObserver(reg), WithFlight(fr)); err != nil {
+			t.Fatal(err)
+		}
+		samples[i], _ = fr.LastSample()
+		snap := reg.Snapshot()
+		for _, name := range wallGauges {
+			if !hasGauge(snap, name) {
+				t.Fatalf("registry snapshot lacks %s", name)
+			}
+			if _, ok := samples[i].Gauges[name]; ok {
+				t.Fatalf("flight sample carries wall-clock gauge %s", name)
+			}
+		}
+	}
+	if !reflect.DeepEqual(samples[0], samples[1]) {
+		t.Fatalf("identical parallel builds sampled differently:\n%+v\n%+v", samples[0], samples[1])
+	}
+}
+
+// wallGauges are the wire pool's timing- and scheduling-dependent gauges.
+var wallGauges = []string{
+	"build/wire/worker_utilization",
+	"build/wire/cells_per_worker_max",
+	"build/wire/cells_per_worker_skew",
+}
+
+func hasGauge(snap obs.Snapshot, name string) bool {
+	for _, g := range snap.Gauges {
+		if g.Name == name {
+			return true
+		}
+	}
+	return false
 }

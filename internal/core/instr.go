@@ -14,10 +14,11 @@ import (
 // timeline. Both halves are nil-safe; the zero instr costs a nil check per
 // instrumentation point and never influences the resulting tree.
 type instr struct {
-	obs *obs.Registry
-	rec *trace.Recorder
-	fl  *flight.Recorder
-	tid uint32
+	obs  *obs.Registry
+	rec  *trace.Recorder
+	fl   *flight.Recorder
+	tid  uint32
+	node []int32 // caller's id of each wired node id in trace events; nil = identity
 }
 
 // newInstr mints the run's trace id and emits build/run.begin. note names
@@ -57,6 +58,9 @@ func (in instr) phase(name string) func() {
 // byte-stable timelines.
 func (in instr) cell(id int, rep int32) {
 	if in.rec.Enabled() {
+		if in.node != nil {
+			rep = in.node[rep]
+		}
 		in.rec.Emit(in.tid, 0, "build/wire/cell", rep, -1, "cell="+strconv.Itoa(id))
 	}
 }

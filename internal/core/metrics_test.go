@@ -59,6 +59,41 @@ func disk2Case(name string, source geom.Point2, recv []geom.Point2) metricsCase 
 	}
 }
 
+// state2Case builds through a BuildState over recv in slot order: one full
+// rebuild, or, when incremental, a full rebuild without every 50th receiver
+// followed by an incremental rebuild once they join. WithParallelism is
+// ignored (the state is serial).
+func state2Case(t *testing.T, name string, source geom.Point2, recv []geom.Point2, incremental bool) metricsCase {
+	tc := disk2Case(name, source, recv)
+	tc.build = func(opts ...Option) (*Result, error) {
+		bs, err := NewBuildState(source, opts...)
+		if err != nil {
+			return nil, err
+		}
+		var late []int
+		for i, p := range recv {
+			if incremental && i%50 == 1 {
+				late = append(late, i)
+				continue
+			}
+			bs.Add(i+1, p)
+		}
+		res, _, err := bs.Rebuild()
+		if err != nil || !incremental {
+			return res, err
+		}
+		for _, i := range late {
+			bs.Add(i+1, recv[i])
+		}
+		res, full, err := bs.Rebuild()
+		if err == nil && full {
+			t.Fatalf("%s: rebuild after %d joins fell back to a full rebuild", name, len(late))
+		}
+		return res, err
+	}
+	return tc
+}
+
 func ball3Case(name string, recv []geom.Point3) metricsCase {
 	var source geom.Point3
 	return metricsCase{
@@ -109,7 +144,8 @@ func ballDCase(t *testing.T, name string, d int, recv []geom.Vec) metricsCase {
 // TestBuildMetricsMatchTreeDelays: the Radius and CoreDelay a build records
 // while wiring are bitwise equal to the maxima of a fresh tree.Delays walk
 // of the finished tree — for every dimension, variant and worker count, on
-// uniform, off-center, clustered, forced-depth, degenerate and small inputs.
+// uniform, off-center, clustered, forced-depth, degenerate and small inputs,
+// and for BuildState's full and incremental rebuilds.
 func TestBuildMetricsMatchTreeDelays(t *testing.T) {
 	r := rng.New(77)
 	square := []geom.Point2{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}
@@ -137,6 +173,8 @@ func TestBuildMetricsMatchTreeDelays(t *testing.T) {
 		ballDCase(t, "d2/uniform", 2, r.UniformBallDN(1500, 2, 1)),
 		ballDCase(t, "d3/uniform", 3, r.UniformBallDN(1500, 3, 1)),
 		ballDCase(t, "d5/uniform", 5, r.UniformBallDN(2500, 5, 1)),
+		state2Case(t, "2d/state-full", geom.Point2{X: 0.3, Y: 0.7}, r.UniformConvexPolygonN(3000, square), false),
+		state2Case(t, "2d/state-incremental", geom.Point2{}, r.MixedDensityDiskN(3000, 1, 0.3, clusters), true),
 	}
 	for _, tc := range cases {
 		for _, deg := range tc.degrees {

@@ -80,11 +80,7 @@ func TestObservedBuildEmitsPhaseSpans(t *testing.T) {
 	if got := gauges["build/workers"]; got != 4 {
 		t.Errorf("build/workers = %v, want 4", got)
 	}
-	for _, name := range []string{
-		"build/wire/worker_utilization",
-		"build/wire/cells_per_worker_max",
-		"build/wire/cells_per_worker_skew",
-	} {
+	for _, name := range wallGauges {
 		if _, ok := gauges[name]; !ok {
 			t.Errorf("gauge %q missing from parallel build snapshot", name)
 		}

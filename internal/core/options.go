@@ -47,7 +47,6 @@ type options struct {
 	forceK       int // 0 = automatic (largest feasible)
 	kMax         int // 0 = grid.DefaultKMax
 	workers      int // 0 = automatic (GOMAXPROCS above the size threshold)
-	trialK       bool
 	obs          *obs.Registry
 	trace        *trace.Recorder
 	flight       *flight.Recorder
@@ -116,14 +115,6 @@ func WithTrace(rec *trace.Recorder) Option {
 // recorder is free and sampling never influences the resulting tree.
 func WithFlight(fr *flight.Recorder) Option {
 	return func(o *options) { o.flight = fr }
-}
-
-// withTrialK selects the legacy downward trial-loop k search (one bucketing
-// pass per candidate depth) instead of the analytic estimate-plus-verify
-// search. Test-only hook: the differential suite uses it to prove the two
-// searches pick the same k and therefore the same tree.
-func withTrialK() Option {
-	return func(o *options) { o.trialK = true }
 }
 
 // effectiveWorkers resolves the worker count for a build over n receivers.

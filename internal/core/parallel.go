@@ -223,11 +223,13 @@ func groupByCellParallel(cellOf []int32, numCells, workers int) cellGroups {
 	return cellGroups{start: start, order: order}
 }
 
-// wireParallel runs the cell-parallel tail of every one-shot Build:
+// wireParallel runs the cell-parallel tail of every one-shot Build (and of
+// BuildState's full rebuild, which runs Build2's pipeline):
 // representative selection, core + in-cell wiring of all cells into a
 // shared parent array, one-shot validation, and the Result metrics. It
-// fills res.Tree, res.Radius and res.CoreDelay; res.Variant and
-// res.MaxOutDegree select the wiring. mkConn builds the dimension's
+// fills res.Tree, res.Radius and res.CoreDelay and returns each cell's
+// representative node (-1 for an empty cell and for cell 0); res.Variant
+// and res.MaxOutDegree select the wiring. mkConn builds the dimension's
 // connector around the shared sink, and dist is the tree's edge length.
 //
 // Cells are wired ring by ring, 0..k, with a barrier between rings: a ring-r
@@ -238,7 +240,7 @@ func groupByCellParallel(cellOf []int32, numCells, workers int) cellGroups {
 // merge step: cells write disjoint parent and delay entries, so the
 // finished arrays are independent of which worker ran which cell.
 func wireParallel(res *Result, k, workers int, g cellGroups, dist tree.DistFunc,
-	mkConn func(bisect.Attacher) connector, in instr) error {
+	mkConn func(bisect.Attacher) connector, in instr) ([]int32, error) {
 	numCells := len(g.start) - 1
 	sink := &delaySink{
 		parentSink: *newParentSink(len(g.order) + 1),
@@ -265,7 +267,9 @@ func wireParallel(res *Result, k, workers int, g cellGroups, dist tree.DistFunc,
 		// utilization and skew gauges; wall time spans every ring, so
 		// utilization also charges the idle time at ring barriers. Each
 		// worker writes only its own slot; parCells's WaitGroup publishes
-		// the slices to this goroutine.
+		// the slices to this goroutine. All three gauges depend on timing
+		// or scheduling, so they are wall-clock gauges, which flight
+		// samples skip.
 		wireStart := time.Now()
 		busyNs := make([]int64, workers)
 		cellCnt := make([]int64, workers)
@@ -284,28 +288,28 @@ func wireParallel(res *Result, k, workers int, g cellGroups, dist tree.DistFunc,
 			}
 		}
 		if wall > 0 && workers > 0 {
-			reg.Gauge("build/wire/worker_utilization").Set(
+			reg.WallGauge("build/wire/worker_utilization").Set(
 				float64(busyTotal) / 1e9 / (wall * float64(workers)))
 		}
 		if numCells > 0 && workers > 0 {
 			mean := float64(numCells) / float64(workers)
-			reg.Gauge("build/wire/cells_per_worker_max").Set(float64(maxCells))
-			reg.Gauge("build/wire/cells_per_worker_skew").Set(float64(maxCells) / mean)
+			reg.WallGauge("build/wire/cells_per_worker_max").Set(float64(maxCells))
+			reg.WallGauge("build/wire/cells_per_worker_skew").Set(float64(maxCells) / mean)
 		}
 	} else {
 		byRing(func(_, c int) {
-			wireCell(sink, k, c, g, reps, conn, res.Variant, instr{rec: in.rec, tid: in.tid})
+			wireCell(sink, k, c, g, reps, conn, res.Variant, instr{rec: in.rec, tid: in.tid, node: in.node})
 		})
 	}
 	endWire()
 	t, err := sink.build(res.MaxOutDegree)
 	if err != nil {
-		return fmt.Errorf("core: incomplete wiring (bug): %w", err)
+		return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
 	}
 	endMetrics := in.phase("build/metrics")
 	res.Tree = t
 	res.Radius = maxOf(sink.delays)
 	res.CoreDelay = coreDelay(sink.delays, reps)
 	endMetrics()
-	return nil
+	return reps, nil
 }

@@ -52,7 +52,7 @@ func (s *BuildState) EncodeTo(e *snapshot.Encoder, putPt PointEncoder) {
 	e.Int(s.o.maxOutDegree)
 	e.Int(s.o.forceK)
 	e.Int(s.o.kMax)
-	e.Bool(s.o.trialK)
+	e.Bool(false) // retired trial-loop k-search flag; kept so the layout stays fixed
 	e.Bool(s.shared)
 	if !s.shared {
 		putPt(e, s.geo.source)
@@ -130,7 +130,10 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 		maxOutDegree: d.Int(),
 		forceK:       d.Int(),
 		kMax:         d.Int(),
-		trialK:       d.Bool(),
+	}
+	trialK := d.Bool()
+	if d.Err() == nil && trialK {
+		return corrupt("state selects the retired trial-loop k search")
 	}
 	shared := d.Bool()
 	if d.Err() == nil && shared != (geo != nil) {

@@ -197,6 +197,35 @@ func TestBuildStateSnapshotCorrupt(t *testing.T) {
 	}
 }
 
+// TestBuildStateSnapshotRejectsTrialK: the retired trial-loop k-search
+// flag is always written false; a payload setting it is corrupt.
+func TestBuildStateSnapshotRejectsTrialK(t *testing.T) {
+	s, err := NewBuildState(geom.Point2{}, WithMaxOutDegree(4), WithKMax(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Add(1, geom.Point2{X: 1})
+	if _, _, err := s.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	blob := encodeState(s)
+	var prefix snapshot.Encoder // maxOutDegree, forceK, kMax precede the flag
+	prefix.Int(4)
+	prefix.Int(0)
+	prefix.Int(7)
+	off := len(prefix.Bytes())
+	if blob[off] != 0 {
+		t.Fatalf("flag byte at %d = %d, want 0", off, blob[off])
+	}
+	if _, err := DecodeBuildState(snapshot.NewDecoder(blob), nil); err != nil {
+		t.Fatalf("valid payload: %v", err)
+	}
+	blob[off] = 1
+	if _, err := DecodeBuildState(snapshot.NewDecoder(blob), nil); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("trial-k payload: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func treesEqual(a, b interface{ Parent(int) int }) bool {
 	ta, ok1 := a.(interface {
 		Parent(int) int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -90,6 +91,51 @@ func TestTracedBuildEmitsPhaseEvents(t *testing.T) {
 	}
 	if cells == 0 {
 		t.Error("no build/wire/cell events emitted")
+	}
+}
+
+// TestStateTraceNamesSlots: a BuildState's per-cell wiring events name the
+// representative by slot, on full rebuilds (which wire dense node ids) as
+// on incremental ones (which wire slots directly).
+func TestStateTraceNamesSlots(t *testing.T) {
+	r := rng.New(14)
+	bs, err := NewBuildState(geom.Point2{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range r.UniformDiskN(600, 1) {
+		bs.Add(3*i+2, p) // sparse slots: dense ids and slots differ
+	}
+	for _, wantFull := range []bool{true, false} {
+		rec := trace.New(1 << 16)
+		bs.SetInstruments(nil, rec)
+		if !wantFull {
+			bs.Remove(5)
+		}
+		if _, full, err := bs.Rebuild(); err != nil || full != wantFull {
+			t.Fatalf("rebuild: full=%v err=%v, want full=%v", full, err, wantFull)
+		}
+		cells := 0
+		for _, e := range rec.Events() {
+			if e.Kind != "build/wire/cell" {
+				continue
+			}
+			cells++
+			c, err := strconv.Atoi(strings.TrimPrefix(e.Note, "cell="))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bs.reps[c]
+			if c == 0 {
+				want = 0
+			}
+			if e.From != want {
+				t.Fatalf("full=%v cell %d: event names node %d, representative slot is %d", wantFull, c, e.From, want)
+			}
+		}
+		if cells == 0 {
+			t.Fatalf("full=%v: no build/wire/cell events", wantFull)
+		}
 	}
 }
 

@@ -257,7 +257,8 @@ func (g *GridD) InteriorOccupied(hs []geom.Hyperspherical) bool {
 
 // MaxFeasibleKD returns the largest k in [1, kMax] whose d-dimensional grid
 // has all interior cells occupied, scanning downward, along with the grid
-// itself (grids are expensive to rebuild in high dimension).
+// itself (grids are expensive to rebuild in high dimension): the reference
+// oracle for MaxFeasibleKDAnalytic, which the builds use.
 func MaxFeasibleKD(d int, hs []geom.Hyperspherical, scale float64, kMax int) (*GridD, error) {
 	if kMax < 1 {
 		kMax = 1

@@ -181,7 +181,8 @@ func (g PolarGrid) InteriorOccupied(polars []geom.Polar) bool {
 // MaxFeasibleK returns the largest k in [1, kMax] for which the grid's
 // interior cells are all occupied by the given points, scanning downward
 // from kMax ("choose the number of rings k as large as possible", §III-A).
-// k = 1 is always feasible.
+// k = 1 is always feasible. The builds search with MaxFeasibleKAnalytic;
+// this trial loop is the reference oracle the differential tests hold it to.
 func MaxFeasibleK(polars []geom.Polar, scale float64, kMax int) int {
 	if kMax < 1 {
 		kMax = 1

@@ -211,7 +211,8 @@ func (g SphereGrid3) InteriorOccupied(sphericals []geom.Spherical) bool {
 }
 
 // MaxFeasibleK3 returns the largest k in [1, kMax] whose sphere grid has all
-// interior cells occupied, scanning downward.
+// interior cells occupied, scanning downward: the reference oracle for
+// MaxFeasibleK3Analytic, which the builds use.
 func MaxFeasibleK3(sphericals []geom.Spherical, scale float64, kMax int) int {
 	if kMax < 1 {
 		kMax = 1

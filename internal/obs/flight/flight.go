@@ -20,11 +20,12 @@
 //   - Deterministic. Sampling is driven by the protocol's virtual round
 //     clock (Tick per maintenance sweep, SampleNow per build), never by a
 //     wall-clock timer, and a sample captures only the deterministic metric
-//     families — counters and gauges. Timing spans and latency histograms
-//     carry wall-clock measurements and are deliberately excluded, so two
-//     seeded runs export byte-identical JSONL and health reports. The full
-//     registry (spans and histograms included) stays available through
-//     Snapshot-based exports.
+//     families — counters and gauges. Timing spans, latency histograms
+//     and wall-clock gauges (obs.Registry.WallGauge) carry wall-clock
+//     measurements and are deliberately excluded, so two seeded runs
+//     export byte-identical JSONL and health reports. The full registry
+//     (spans, histograms and wall-clock gauges included) stays available
+//     through Snapshot-based exports.
 //
 // Each sample carries per-series delta and per-round rate columns computed
 // against the previous sample, and is evaluated against the recorder's
@@ -225,12 +226,15 @@ func (r *Recorder) sampleLocked(cause string) {
 			cur[c.Name] = float64(c.Value)
 		}
 	}
-	if len(snap.Gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(snap.Gauges))
-		for _, g := range snap.Gauges {
-			s.Gauges[g.Name] = g.Value
-			cur[g.Name] = g.Value
+	for _, g := range snap.Gauges {
+		if g.Wall {
+			continue // wall-clock noise: a sample must replay byte-for-byte
 		}
+		if s.Gauges == nil {
+			s.Gauges = make(map[string]float64, len(snap.Gauges))
+		}
+		s.Gauges[g.Name] = g.Value
+		cur[g.Name] = g.Value
 	}
 	if r.prev != nil {
 		rounds := r.round - r.prevRnd

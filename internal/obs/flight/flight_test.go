@@ -117,6 +117,27 @@ func TestRates(t *testing.T) {
 	}
 }
 
+// Wall-clock gauges stay out of samples and their rate columns.
+func TestSampleSkipsWallGauges(t *testing.T) {
+	reg := obs.New()
+	r := New(reg, Config{})
+	reg.WallGauge("util").Set(0.4)
+	r.SampleNow("build")
+	if s, _ := r.LastSample(); s.Gauges != nil {
+		t.Fatalf("sample with only a wall gauge has gauges: %v", s.Gauges)
+	}
+	reg.Gauge("workers").Set(2)
+	reg.WallGauge("util").Set(0.9)
+	r.SampleNow("build")
+	s, _ := r.LastSample()
+	if len(s.Gauges) != 1 || s.Gauges["workers"] != 2 {
+		t.Fatalf("sample gauges = %v, want only workers", s.Gauges)
+	}
+	if _, ok := s.Rates["util"]; ok {
+		t.Fatal("wall gauge has a rate entry")
+	}
+}
+
 func TestRingEviction(t *testing.T) {
 	reg := obs.New()
 	r := New(reg, Config{Capacity: 3})

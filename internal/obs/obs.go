@@ -109,6 +109,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// WallGauge is Gauge for a gauge whose value depends on wall-clock time or
+// goroutine scheduling (a worker pool's utilization, say), so two runs of
+// one seeded workload can disagree on it. Snapshot reports it like any
+// other gauge; deterministic consumers — the flight recorder's samples —
+// skip it, exactly as they skip spans.
+func (r *Registry) WallGauge(name string) *Gauge {
+	g := r.Gauge(name)
+	if g != nil {
+		g.wall.Store(true)
+	}
+	return g
+}
+
 // DefaultBuckets are the histogram bucket upper bounds used when none are
 // supplied: log-spaced from 1 microsecond to 10 seconds, natural for the
 // phase and per-cell timings this repo records (values in seconds).
@@ -188,6 +201,7 @@ type Gauge struct {
 	r    *Registry
 	bits atomic.Uint64
 	set  atomic.Bool
+	wall atomic.Bool // registered through WallGauge
 }
 
 // Set stores v. No-op on a nil handle or a disabled registry.

@@ -81,6 +81,36 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// A wall-clock gauge is an ordinary gauge to every reader except the
+// Wall flag on its snapshot entry, which the rendered forms leave out.
+func TestWallGauge(t *testing.T) {
+	var nilReg *Registry
+	nilReg.WallGauge("w").Set(1) // must not panic
+
+	r := New()
+	r.Gauge("plain").Set(1)
+	w := r.WallGauge("build/wire/worker_utilization")
+	w.Set(0.5)
+	if r.Gauge("build/wire/worker_utilization") != w || w.Value() != 0.5 {
+		t.Fatal("wall gauge is not the named gauge")
+	}
+	snap := r.Snapshot()
+	want := []GaugeSnap{
+		{Name: "build/wire/worker_utilization", Value: 0.5, Wall: true},
+		{Name: "plain", Value: 1},
+	}
+	if len(snap.Gauges) != len(want) || snap.Gauges[0] != want[0] || snap.Gauges[1] != want[1] {
+		t.Fatalf("gauges = %+v, want %+v", snap.Gauges, want)
+	}
+	data, err := snap.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "Wall") || strings.Contains(string(data), "wall") {
+		t.Fatalf("wall flag leaked into the JSON snapshot: %s", data)
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	r := New()
 	h := r.HistogramBuckets("lat", []float64{1, 2, 4, 8, 16})

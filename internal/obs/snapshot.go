@@ -17,6 +17,9 @@ type CounterSnap struct {
 type GaugeSnap struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
+	// Wall marks a gauge registered through WallGauge: its value carries
+	// wall-clock or scheduling noise. Not part of the rendered snapshot.
+	Wall bool `json:"-"`
 }
 
 // HistogramSnap summarizes one histogram: exact count/sum/max, estimated
@@ -88,7 +91,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: v})
 	}
 	for name, g := range gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value(), Wall: g.wall.Load()})
 	}
 	for name, h := range hists {
 		s.Histograms = append(s.Histograms, HistogramSnap{
