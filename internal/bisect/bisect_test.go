@@ -285,12 +285,22 @@ func TestConnect2InCell(t *testing.T) {
 	}
 }
 
+// vecs3 converts 3-D points to the d-dimensional representation.
+func vecs3(pts []geom.Point3) []geom.Vec {
+	out := make([]geom.Vec, len(pts))
+	for i, p := range pts {
+		out[i] = p.Vec()
+	}
+	return out
+}
+
+// TestBuildTree3 covers the standalone 3-D Bisection: BuildTreeD at d = 3.
 func TestBuildTree3(t *testing.T) {
 	r := rng.New(7)
 	for _, deg := range []int{2, 8, 10} {
 		for _, n := range []int{1, 2, 3, 10, 200} {
 			pts := r.UniformBall3N(n, 1)
-			tr, rep, err := BuildTree3(pts, 0, deg)
+			tr, rep, err := BuildTreeD(vecs3(pts), 0, deg)
 			if err != nil {
 				t.Fatalf("deg=%d n=%d: %v", deg, n, err)
 			}
@@ -315,8 +325,7 @@ func TestBuildTree3(t *testing.T) {
 }
 
 func TestBuildTree3Coincident(t *testing.T) {
-	pts := make([]geom.Point3, 9)
-	tr, _, err := BuildTree3(pts, 0, 2)
+	tr, _, err := BuildTreeD(vecs3(make([]geom.Point3, 9)), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

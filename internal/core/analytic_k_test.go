@@ -60,32 +60,41 @@ func trialK2(source geom.Point2, pts []geom.Point2, kMax int) int {
 	return grid.MaxFeasibleK(polars, scale, trialKMax(kMax, len(pts)))
 }
 
-// trialK3 is the trial-loop k over Build3's spherical conversion of pts.
-func trialK3(source geom.Point3, pts []geom.Point3) int {
-	sph := make([]geom.Spherical, len(pts))
-	var scale float64
+// hyperCoords converts points to the flat hyperspherical coordinates
+// BuildDFunc works in, around source; with withSource the source itself
+// leads as node 0.
+func hyperCoords(source geom.Vec, pts []geom.Vec, withSource bool) []float64 {
+	var out []float64
+	if withSource {
+		out = append(out, geom.NewVec(len(source)).ToHyperspherical()...)
+	}
+	for _, p := range pts {
+		out = append(out, p.Sub(source).ToHyperspherical()...)
+	}
+	return out
+}
+
+// trialK3 is the trial-loop k over Build3's coordinates of pts.
+func trialK3(t *testing.T, source geom.Point3, pts []geom.Point3) int {
+	vecs := make([]geom.Vec, len(pts))
 	for i, p := range pts {
-		sph[i] = p.SphericalAround(source)
-		scale = max(scale, sph[i].R)
+		vecs[i] = p.Vec()
 	}
-	if scale == 0 {
-		return 0
-	}
-	return grid.MaxFeasibleK3(sph, scale, trialKMax(0, len(pts)))
+	return trialKD(t, source.Vec(), vecs)
 }
 
 // trialKD is the trial-loop k over BuildD's hyperspherical conversion of pts.
 func trialKD(t *testing.T, source geom.Vec, pts []geom.Vec) int {
-	hs := make([]geom.Hyperspherical, len(pts))
+	d := len(source)
+	hs := hyperCoords(source, pts, false)
 	var scale float64
-	for i, p := range pts {
-		hs[i] = p.Sub(source).ToHyperspherical()
-		scale = max(scale, hs[i].R)
+	for i := 0; i < len(hs); i += d {
+		scale = max(scale, hs[i])
 	}
 	if scale == 0 {
 		return 0
 	}
-	g, err := grid.MaxFeasibleKD(len(source), hs, scale, trialKMax(0, len(pts)))
+	g, err := grid.MaxFeasibleKD(d, hs, scale, trialKMax(0, len(pts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestAnalyticKMatchesTrial3D(t *testing.T) {
 		build := func(extra ...Option) (*Result, error) {
 			return Build3(geom.Point3{}, pts, extra...)
 		}
-		assertSameBuild(t, "3d", trialK3(geom.Point3{}, pts), build)
+		assertSameBuild(t, "3d", trialK3(t, geom.Point3{}, pts), build)
 	}
 }
 

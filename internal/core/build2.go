@@ -64,6 +64,9 @@ func (c *conn2) connectBinary(idx []int32, src int32, cellID int) {
 // WithParallelism fans the construction over a worker pool; every worker
 // count produces the identical tree.
 func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Result, error) {
+	if err := finiteSource(source.X, source.Y); err != nil {
+		return nil, err
+	}
 	o := buildOptions(opts)
 	variant, degCap, err := variantFor(o.maxOutDegree, naturalDegree2D)
 	if err != nil {
@@ -77,10 +80,15 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 
 	endConv := in.phase("build/convert")
 	polars := make([]geom.Polar, n+1)
-	scale := convertCoords(workers, receivers, polars,
-		func(p geom.Point2) geom.Polar { return p.PolarAround(source) },
-		func(c geom.Polar) float64 { return c.R })
+	scale, err := convertCoords(workers, n, func(i int) float64 {
+		c := receivers[i].PolarAround(source)
+		polars[i+1] = c
+		return c.R
+	})
 	endConv()
+	if err != nil {
+		return nil, err
+	}
 	dist := func(i, j int) float64 {
 		pi, pj := source, source
 		if i > 0 {

@@ -2,60 +2,131 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
+	"omtree/internal/tree"
 )
 
+// stackDim bounds the dimensions whose per-call connector scratch lives in
+// fixed-size arrays on the stack; higher dimensions allocate it per call.
+const stackDim = 8
+
+// scratchD returns k length-d vectors of per-call scratch, backed by buf
+// when they fit.
+func scratchD(buf []float64, k, d int) []float64 {
+	if k*d <= len(buf) {
+		return buf[:k*d]
+	}
+	return make([]float64, k*d)
+}
+
 // connD adapts the d-dimensional grid and Bisection context to the wiring
-// interface.
+// interface. Cell bounds and reconstructed points live in per-call stack
+// scratch, so scoring and wiring a cell allocate nothing.
 type connD struct {
 	ctx *bisect.CtxD
 	g   *grid.GridD
 }
 
+// cell writes the bounds of grid cell cellID into s[:2d].
+func (c *connD) cell(s []float64, cellID int) geom.CellD {
+	cell := geom.CellD(s[:2*c.g.D])
+	shell, j := grid.RingIdx(cellID)
+	c.g.CellInto(cell, shell, j)
+	return cell
+}
+
+// point writes node id's Cartesian position relative to the source into v.
+func (c *connD) point(v geom.Vec, id int32) {
+	d := c.g.D
+	geom.Hyperspherical(c.ctx.Pts[int(id)*d : (int(id)+1)*d]).VecInto(v)
+}
+
 // nearestArc scores members by the squared distance to the arc center at
 // radius RMin (inner) or RMax (outer) in the middle of every angular
-// interval.
+// interval — of the U interval, the middle of the polar angle it spans.
 func (c *connD) nearestArc(cellID int, outer bool, members []int32) int {
-	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
-	center := geom.Hyperspherical{
-		R:     cell.RMin,
-		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
-		Phi:   make([]float64, len(cell.PhiMin)),
-	}
+	d := c.g.D
+	var buf [4 * stackDim]float64
+	s := scratchD(buf[:], 4, d)
+	cell := c.cell(s, cellID)
+	mid, center := geom.Hyperspherical(s[2*d:3*d]), geom.Vec(s[3*d:])
+	p := geom.Vec(mid) // scoring reuses mid's storage once center is known
+	mid[geom.AxisR] = cell.Lo(geom.AxisR)
 	if outer {
-		center.R = cell.RMax
+		mid[geom.AxisR] = cell.Hi(geom.AxisR)
 	}
-	for m := range center.Phi {
-		center.Phi[m] = (cell.PhiMin[m] + cell.PhiMax[m]) / 2
+	for a := 1; a < d; a++ {
+		mid[a] = (cell.Lo(a) + cell.Hi(a)) / 2
 	}
-	cv := center.ToVec()
-	pts := c.ctx.Pts
-	return argmin(members, func(id int32) float64 { return pts[id].ToVec().Dist2(cv) })
+	if d > 2 {
+		mid[geom.AxisU] = math.Cos((math.Acos(cell.Hi(geom.AxisU)) + math.Acos(cell.Lo(geom.AxisU))) / 2)
+	}
+	mid.VecInto(center)
+	return argmin(members, func(id int32) float64 {
+		c.point(p, id)
+		return p.Dist2(center)
+	})
 }
 
 func (c *connD) pointDist2(a, b int32) float64 {
-	return c.ctx.Pts[a].ToVec().Dist2(c.ctx.Pts[b].ToVec())
+	d := c.g.D
+	var buf [2 * stackDim]float64
+	s := scratchD(buf[:], 2, d)
+	pa, pb := geom.Vec(s[:d]), geom.Vec(s[d:])
+	c.point(pa, a)
+	c.point(pb, b)
+	return pa.Dist2(pb)
 }
 
 func (c *connD) connectNatural(idx []int32, src int32, cellID int) {
-	shell, j := grid.RingIdx(cellID)
-	c.ctx.ConnectFull(idx, src, c.g.Cell(shell, j))
+	var buf [2 * stackDim]float64
+	c.ctx.ConnectFull(idx, src, c.cell(scratchD(buf[:], 2, c.g.D), cellID))
 }
 
 func (c *connD) connectBinary(idx []int32, src int32, cellID int) {
-	shell, j := grid.RingIdx(cellID)
-	c.ctx.Connect2(idx, src, c.g.Cell(shell, j))
+	var buf [2 * stackDim]float64
+	c.ctx.Connect2(idx, src, c.cell(scratchD(buf[:], 2, c.g.D), cellID))
 }
 
-// BuildD runs Algorithm Polar_Grid in general dimension d >= 2 (§IV-B).
-// The source and all receivers must share dimension d; node 0 is the
-// source. The natural variant has out-degree 2^d + 2; WithMaxOutDegree in
-// [2, 2^d+2) selects the binary variant. For heavy 2-D or 3-D workloads
-// prefer Build2 / Build3, which use specialized coordinates.
+// finiteSource rejects a source with a NaN or infinite coordinate, which
+// would put every receiver at a non-finite distance.
+func finiteSource(xs ...float64) error {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: source coordinate %v is not finite", x)
+		}
+	}
+	return nil
+}
+
+// Build3 runs Algorithm Polar_Grid in three dimensions (§IV-B, Figure 8's
+// experiment): BuildDFunc at d = 3 over the receivers as given. Node 0 is
+// the source; node i >= 1 is receivers[i-1]. The default builds the natural
+// out-degree-10 variant; WithMaxOutDegree(d) for d in [2, 10) selects the
+// hybrid or binary variant.
+func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Result, error) {
+	if err := finiteSource(source.X, source.Y, source.Z); err != nil {
+		return nil, err
+	}
+	at := func(i int) geom.Point3 {
+		if i == 0 {
+			return source
+		}
+		return receivers[i-1]
+	}
+	return BuildDFunc(3, len(receivers), func(i int, v []float64) {
+		p := receivers[i]
+		v[0], v[1], v[2] = p.X-source.X, p.Y-source.Y, p.Z-source.Z
+	}, func(i, j int) float64 { return at(i).Dist(at(j)) }, opts...)
+}
+
+// BuildD runs Algorithm Polar_Grid in general dimension d >= 2 (§IV-B):
+// BuildDFunc over the receivers as given. The source and all receivers must
+// share dimension d; node 0 is the source.
 func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, error) {
 	d := len(source)
 	if d < 2 {
@@ -66,34 +137,57 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 			return nil, fmt.Errorf("core: receiver %d has dimension %d, want %d", i, len(p), d)
 		}
 	}
+	if err := finiteSource(source...); err != nil {
+		return nil, err
+	}
+	at := func(i int) geom.Vec {
+		if i == 0 {
+			return source
+		}
+		return receivers[i-1]
+	}
+	return BuildDFunc(d, len(receivers), func(i int, v []float64) {
+		for a, x := range receivers[i] {
+			v[a] = x - source[a]
+		}
+	}, func(i, j int) float64 { return at(i).Dist(at(j)) }, opts...)
+}
+
+// BuildDFunc is the Polar_Grid pipeline in dimension d >= 2 (§IV-B), shared
+// by BuildD, Build3 and multi-group substrates. The n receivers come
+// through accessors: offset(i, v) writes receiver i's position minus the
+// source's into v (len(v) == d), from which each receiver is converted in
+// place into one flat hyperspherical coordinate array, and dist(i, j) is the
+// Euclidean edge length between nodes (node 0 the source, node i >= 1
+// receiver i-1). The natural variant has out-degree 2^d + 2; WithMaxOutDegree
+// in [2, 2^d+2) selects the hybrid or binary variant. A receiver at a
+// non-finite distance from the source fails the build.
+func BuildDFunc(d, n int, offset func(i int, v []float64), dist tree.DistFunc, opts ...Option) (*Result, error) {
+	if d < 2 {
+		return nil, fmt.Errorf("core: dimension %d < 2", d)
+	}
 	o := buildOptions(opts)
-	natural := 1<<uint(d) + 2
-	variant, degCap, err := variantFor(o.maxOutDegree, natural)
+	variant, degCap, err := variantFor(o.maxOutDegree, 1<<uint(d)+2)
 	if err != nil {
 		return nil, err
 	}
-	n := len(receivers)
 	workers := o.effectiveWorkers(n)
 	o.obs.Gauge("build/workers").Set(float64(workers))
 	in := newInstr(o, d, n)
 	defer in.finish()
 
 	endConv := in.phase("build/convert")
-	hs := make([]geom.Hyperspherical, n+1)
-	hs[0] = geom.Hyperspherical{Phi: make([]float64, d-2)}
-	scale := convertCoords(workers, receivers, hs,
-		func(p geom.Vec) geom.Hyperspherical { return p.Sub(source).ToHyperspherical() },
-		func(c geom.Hyperspherical) float64 { return c.R })
+	coords := make([]float64, (n+1)*d) // node i at [i*d, (i+1)*d)
+	geom.Vec(coords[:d]).HypersphericalInto(coords[:d])
+	scale, err := convertCoords(workers, n, func(i int) float64 {
+		h := coords[(i+1)*d : (i+2)*d]
+		offset(i, h)
+		geom.Vec(h).HypersphericalInto(h)
+		return h[geom.AxisR]
+	})
 	endConv()
-	dist := func(i, j int) float64 {
-		pi, pj := source, source
-		if i > 0 {
-			pi = receivers[i-1]
-		}
-		if j > 0 {
-			pj = receivers[j-1]
-		}
-		return pi.Dist(pj)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{Dim: d, Variant: variant, MaxOutDegree: degCap, Scale: scale}
@@ -105,41 +199,44 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	}
 
 	endGrid := in.phase("build/grid")
-	var g *grid.GridD
-	if o.forceK > 0 {
-		g, err = grid.NewGridD(d, o.forceK, scale)
-		if err != nil {
-			endGrid()
-			return nil, err
-		}
-		if o.forceK > 1 && !g.InteriorOccupied(hs[1:]) {
-			endGrid()
-			return nil, fmt.Errorf("core: forced k = %d leaves an interior grid cell empty", o.forceK)
-		}
-	} else {
-		kMax := o.kMax
-		if kMax <= 0 {
-			kMax = grid.DefaultKMax(n)
-		}
-		g, err = grid.MaxFeasibleKDAnalytic(d, hs[1:], scale, kMax, workers)
-		if err != nil {
-			endGrid()
-			return nil, err
-		}
-	}
+	g, err := pickGridD(o, d, n, coords[d:], scale, workers)
 	endGrid()
+	if err != nil {
+		return nil, err
+	}
 
 	endBucket := in.phase("build/bucketing")
 	cellOf := make([]int32, n)
-	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(hs[i+1])) })
+	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(coords[(i+1)*d : (i+2)*d])) })
 	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
 	endBucket()
 	res.K = g.K
 	res.Bound = g.UpperBound(arcCoeff(variant))
 	if _, err := wireParallel(res, g.K, workers, groups, dist, func(a bisect.Attacher) connector {
-		return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
+		return &connD{ctx: &bisect.CtxD{B: a, D: d, Pts: coords}, g: g}
 	}, in); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// pickGridD resolves the d-dimensional grid over the receivers' coordinates:
+// a forced depth (validated for interior occupancy) or the deepest feasible
+// one up to the search ceiling.
+func pickGridD(o options, d, n int, coords []float64, scale float64, workers int) (*grid.GridD, error) {
+	if o.forceK > 0 {
+		g, err := grid.NewGridD(d, o.forceK, scale)
+		if err != nil {
+			return nil, err
+		}
+		if !g.InteriorOccupied(coords) {
+			return nil, fmt.Errorf("core: forced k = %d leaves an interior grid cell empty", o.forceK)
+		}
+		return g, nil
+	}
+	kMax := o.kMax
+	if kMax <= 0 {
+		kMax = grid.DefaultKMax(n)
+	}
+	return grid.MaxFeasibleKDAnalytic(d, coords, scale, kMax, workers)
 }

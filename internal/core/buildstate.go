@@ -376,11 +376,15 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	slotOf := s.nodeSlots()
 	pts := s.geo.pts
 	polars := make([]geom.Polar, len(slotOf))
-	scale := convertCoords(1, slotOf[1:], polars,
-		func(sl int32) geom.Polar { return pts[sl] },
-		func(c geom.Polar) float64 { return c.R })
-	s.scale = scale
+	scale, err := convertCoords(1, len(slotOf)-1, func(i int) float64 {
+		polars[i+1] = pts[slotOf[i+1]]
+		return polars[i+1].R
+	})
 	endConv()
+	if err != nil {
+		return nil, err
+	}
+	s.scale = scale
 
 	res := &Result{Dim: 2, Variant: s.variant, MaxOutDegree: s.degCap, Scale: scale}
 	dist := func(i, j int) float64 { return s.geo.pos(slotOf[i]).Dist(s.geo.pos(slotOf[j])) }

@@ -442,35 +442,6 @@ func TestBuildDAgreesWithBuild2(t *testing.T) {
 	}
 }
 
-func TestBuild3AgreesWithBuildD(t *testing.T) {
-	r := rng.New(16)
-	recv3 := r.UniformBall3N(800, 1)
-	recvD := make([]geom.Vec, len(recv3))
-	for i, p := range recv3 {
-		recvD[i] = p.Vec()
-	}
-	a, err := Build3(geom.Point3{}, recv3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildD(geom.Vec{0, 0, 0}, recvD, WithMaxOutDegree(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.K != b.K {
-		t.Fatalf("K mismatch: %d vs %d", a.K, b.K)
-	}
-	if math.Abs(a.Radius-b.Radius) > 1e-9 {
-		t.Errorf("radius mismatch: %v vs %v", a.Radius, b.Radius)
-	}
-	for i := 0; i < a.Tree.N(); i++ {
-		if a.Tree.Parent(i) != b.Tree.Parent(i) {
-			t.Fatalf("tree mismatch at node %d (parents %d vs %d)",
-				i, a.Tree.Parent(i), b.Tree.Parent(i))
-		}
-	}
-}
-
 func TestVariantString(t *testing.T) {
 	if VariantNatural.String() != "natural" || VariantBinary.String() != "binary" {
 		t.Error("variant names wrong")

@@ -141,6 +141,22 @@ func TestFrozenBuild3(t *testing.T) {
 	}
 }
 
+// TestBuild3AgreesWithBuildD: BuildD at d = 3 reproduces every frozen
+// Build3 fingerprint from geom.Vec inputs, serial and with two workers.
+func TestBuild3AgreesWithBuildD(t *testing.T) {
+	for _, c := range frozen3Inputs() {
+		recv := make([]geom.Vec, len(c.recv))
+		for i, p := range c.recv {
+			recv[i] = p.Vec()
+		}
+		for _, par := range []int{1, 2} {
+			opts := append([]Option{WithParallelism(par)}, c.opts...)
+			res, err := BuildD(c.source.Vec(), recv, opts...)
+			checkSum(t, fmt.Sprintf("%s/par%d", c.name, par), res, err, frozenBuild3[c.name])
+		}
+	}
+}
+
 // frozenDInputs lists the pinned d-dimensional inputs: uniform unit-ball
 // receivers in d = 2..5, natural and binary.
 func frozenDInputs() []struct {
@@ -174,18 +190,18 @@ var frozenBuildD = map[string]string{
 	"d2/n500/deg6":   "4aad0a6fb8eca427 k=5 r=3ff786331f9e4f4d c=3ff2aab1783963ec b=4014eb80a1a5adfa",
 	"d2/n5000/deg2":  "f8216bacff1c3d2d k=8 r=3ff5121c14ca5cac c=3ff3a649822a9a39 b=400b78a47c7fae34",
 	"d2/n5000/deg6":  "9e9c0a028f435f6c k=8 r=3ff230037ce0b331 c=3ff024f551c8f422 b=400530af9d8bf274",
-	"d3/n500/deg2":   "cad9e78eb2197411 k=5 r=401329ed261c7210 c=400d25d41ceeba17 b=4035c3ea0fc1671c",
+	"d3/n500/deg2":   "7cedcf4c759d0fcb k=5 r=40145938b7c92529 c=400d25d41ceeba17 b=4035c3ea0fc1671c",
 	"d3/n500/deg10":  "8ba7712ae8f2de58 k=5 r=40057422a907fecd c=40028850f6dbb319 b=402faa2ca0f5b684",
-	"d3/n5000/deg2":  "c5dd92059a4cce65 k=8 r=400e77cb226fe7e2 c=4008ea9f298574a5 b=402c48b91e3b7cba",
-	"d3/n5000/deg10": "cac5024e32895611 k=8 r=3fff72349953e819 c=3ffae17698ae604d b=402658d023dae336",
-	"d4/n500/deg2":   "784b9f41346c1c3a k=5 r=401eaeb8b68ff30e c=4014e9f264efb487 b=4043f2099eee6752",
+	"d3/n5000/deg2":  "733f731128b16b2f k=8 r=400e3395ae520a0b c=4008ea9f298574a5 b=402c48b91e3b7cb9",
+	"d3/n5000/deg10": "cac5024e32895611 k=8 r=3fff72349953e819 c=3ffae17698ae604d b=402658d023dae334",
+	"d4/n500/deg2":   "ff65a63ce12d8537 k=5 r=401eaeb8b68ff30e c=4014e9f264efb487 b=4043f2099eee6752",
 	"d4/n500/deg18":  "be52ede7460ea501 k=5 r=4010877d0c902467 c=4008b007a4b89668 b=403d55056911d84e",
-	"d4/n5000/deg2":  "dcf7fd07d07f0cf0 k=8 r=401cd78195d15e03 c=401586b34903c2ce b=403fd01650cfe45c",
+	"d4/n5000/deg2":  "13d4e29f319a7b1a k=8 r=401b62c377097e9a c=401586b34903c2ce b=403fd01650cfe45c",
 	"d4/n5000/deg18": "ff2f9e7da683a838 k=8 r=400c9ed1bf3d2b9d c=400822cc1e2bef9f b=403987a4cf358a19",
 	"d5/n500/deg2":   "f41a213836071cd3 k=6 r=402332fe18294e80 c=401f163ca1fb121a b=404d4104a094028c",
 	"d5/n500/deg34":  "acc4e4a96bc18540 k=6 r=4015ddb79fef3081 c=40128df853a79042 b=40466d0e1408c408",
-	"d5/n5000/deg2":  "f2256dace30308a0 k=8 r=40227788373a59e3 c=401b3e67872923da b=404ad45f5e23a09e",
-	"d5/n5000/deg34": "0cd25f79e61ae777 k=8 r=401247aecc58e548 c=400f007f6b50215e b=4045a5e2ba56056a",
+	"d5/n5000/deg2":  "a27aed02cb527854 k=8 r=40227788373a59e3 c=401b3e67872923da b=404ad45f5e23a09d",
+	"d5/n5000/deg34": "0cd25f79e61ae777 k=8 r=401247aecc58e548 c=400f007f6b50215e b=4045a5e2ba560569",
 }
 
 // TestFrozenBuildD pins BuildD's output in d = 2..5, serial and with two

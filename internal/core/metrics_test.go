@@ -104,16 +104,26 @@ func ball3Case(name string, recv []geom.Point3) metricsCase {
 		},
 		dist: dist3For(source, recv),
 		reps: func(res *Result) []int32 {
-			pts := make([]geom.Spherical, len(recv)+1)
-			pts[0] = geom.Spherical{U: 1}
+			vecs := make([]geom.Vec, len(recv))
 			for i, p := range recv {
-				pts[i+1] = p.SphericalAround(source)
+				vecs[i] = p.Vec()
 			}
-			g := grid.SphereGrid3{K: res.K, Scale: res.Scale}
-			conn := &conn3{ctx: &bisect.Ctx3{Pts: pts}, g: g}
-			return freshReps(len(recv), g.NumCells(), func(i int) int { return g.CellOf(pts[i]) }, conn)
+			return hyperReps(res, source.Vec(), vecs)
 		},
 	}
+}
+
+// hyperReps recomputes a d-dimensional build's cell representatives from
+// scratch over its grid.
+func hyperReps(res *Result, source geom.Vec, recv []geom.Vec) []int32 {
+	d := len(source)
+	pts := hyperCoords(source, recv, true)
+	g, err := grid.NewGridD(d, res.K, res.Scale)
+	if err != nil {
+		panic(err)
+	}
+	conn := &connD{ctx: &bisect.CtxD{D: d, Pts: pts}, g: g}
+	return freshReps(len(recv), g.NumCells(), func(i int) int { return g.CellOf(pts[i*d : (i+1)*d]) }, conn)
 }
 
 func ballDCase(t *testing.T, name string, d int, recv []geom.Vec) metricsCase {
@@ -125,19 +135,7 @@ func ballDCase(t *testing.T, name string, d int, recv []geom.Vec) metricsCase {
 			return BuildD(source, recv, opts...)
 		},
 		dist: distDFor(source, recv),
-		reps: func(res *Result) []int32 {
-			pts := make([]geom.Hyperspherical, len(recv)+1)
-			pts[0] = geom.Hyperspherical{Phi: make([]float64, d-2)}
-			for i, p := range recv {
-				pts[i+1] = p.Sub(source).ToHyperspherical()
-			}
-			g, err := grid.NewGridD(d, res.K, res.Scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn := &connD{ctx: &bisect.CtxD{Pts: pts}, g: g}
-			return freshReps(len(recv), g.NumCells(), func(i int) int { return g.CellOf(pts[i]) }, conn)
-		},
+		reps: func(res *Result) []int32 { return hyperReps(res, source, recv) },
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,30 +142,44 @@ func parCells(workers, lo, hi int, fn func(w, c int)) {
 	wg.Wait()
 }
 
-// convertCoords fills coords[i+1] = conv(receivers[i]) across the worker
-// pool and returns the largest radius. The chunked maximum equals the serial
-// maximum exactly — float64 max is association-independent — so the grid
-// scale (and hence the whole build) does not depend on the worker count.
-func convertCoords[P, C any](workers int, receivers []P, coords []C, conv func(P) C, radius func(C) float64) float64 {
-	maxR := make([]float64, workers)
-	parRange(workers, len(receivers), func(w, lo, hi int) {
-		var m float64
+// convertCoords converts receivers 0..n-1 across the worker pool — conv(i)
+// fills node i+1's coordinates from receiver i and returns its distance
+// from the source — and returns the largest distance. The chunked maximum
+// equals the serial maximum exactly (float64 max is
+// association-independent), so the grid scale, and hence the whole build,
+// does not depend on the worker count. A distance that is not finite (a NaN
+// or infinite coordinate, or one that overflows) fails the conversion,
+// naming the lowest such receiver whatever the worker count.
+func convertCoords(workers, n int, conv func(i int) float64) (float64, error) {
+	type chunk struct {
+		maxR, badR float64
+		bad        int
+	}
+	chunks := make([]chunk, workers)
+	for w := range chunks {
+		chunks[w].bad = -1
+	}
+	parRange(workers, n, func(w, lo, hi int) {
+		c := chunk{bad: -1}
 		for i := lo; i < hi; i++ {
-			c := conv(receivers[i])
-			coords[i+1] = c
-			if r := radius(c); r > m {
-				m = r
+			r := conv(i)
+			if r > c.maxR {
+				c.maxR = r
+			}
+			if !(r <= math.MaxFloat64) && c.bad < 0 {
+				c.bad, c.badR = i, r
 			}
 		}
-		maxR[w] = m
+		chunks[w] = c
 	})
 	var scale float64
-	for _, m := range maxR {
-		if m > scale {
-			scale = m
+	for _, c := range chunks {
+		if c.bad >= 0 {
+			return 0, fmt.Errorf("core: receiver %d lies at non-finite distance %v from the source", c.bad, c.badR)
 		}
+		scale = max(scale, c.maxR)
 	}
-	return scale
+	return scale, nil
 }
 
 // assignCells fills cellOf[i] with the grid cell of receiver i's coordinate

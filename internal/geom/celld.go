@@ -2,191 +2,103 @@ package geom
 
 import "math"
 
-// CellD is a cell of a d-dimensional hyperspherical grid: a product of a
-// radial interval, an azimuth interval, and one interval per polar angle.
-// Dimension d = len(PhiMin) + 2.
-//
-// Cells are split one axis at a time (the Polar_Grid axis-cycling rule for
-// d >= 3). Splits along Theta and R are arithmetic midpoints; splits along
-// Phi[m] are equal-measure points of the sin^(m+1) weight, computed with
-// SinPowerSplit, so that the two halves of a cell always carry equal surface
-// measure.
-type CellD struct {
-	RMin, RMax         float64
-	ThetaMin, ThetaMax float64
-	PhiMin, PhiMax     []float64
-}
+// CellD is an axis-aligned cell of d-dimensional space in hyperspherical
+// coordinates, stored as interleaved bounds, len(c) == 2d: the points h with
+// c[2a] <= h[a] <= c[2a+1] on every axis a, in the axis order of
+// Hyperspherical (R, Theta, U, then Phi[1..d-3]). Grid cells and Bisection
+// sub-cells are CellDs; being one caller-owned slice, a cell can live in
+// scratch memory and be rewritten in place.
+type CellD []float64
 
-// FullShellD returns the cell covering the entire shell RMin <= r <= RMax of
+// FullShellD returns the cell covering the entire shell rMin <= r <= rMax of
 // d-dimensional space (d >= 2).
 func FullShellD(d int, rMin, rMax float64) CellD {
 	if d < 2 {
 		panic("geom: FullShellD requires d >= 2")
 	}
-	c := CellD{
-		RMin: rMin, RMax: rMax,
-		ThetaMin: 0, ThetaMax: TwoPi,
-		PhiMin: make([]float64, d-2),
-		PhiMax: make([]float64, d-2),
+	c := make(CellD, 2*d)
+	c[2*AxisR], c[2*AxisR+1] = rMin, rMax
+	c[2*AxisTheta+1] = TwoPi
+	if d > 2 {
+		c[2*AxisU], c[2*AxisU+1] = -1, 1
 	}
-	for m := range c.PhiMax {
-		c.PhiMax[m] = math.Pi
+	for a := 3; a < d; a++ {
+		c[2*a+1] = math.Pi
 	}
 	return c
 }
 
 // Dim returns the dimension of the space the cell lives in.
-func (c CellD) Dim() int { return len(c.PhiMin) + 2 }
+func (c CellD) Dim() int { return len(c) / 2 }
 
-// NumAngularAxes returns the number of angular axes (theta plus the polar
-// angles): d - 1.
-func (c CellD) NumAngularAxes() int { return c.Dim() - 1 }
+// Lo returns the lower bound of axis a.
+func (c CellD) Lo(a int) float64 { return c[2*a] }
 
-// Contains reports whether the hyperspherical point h lies in the cell.
+// Hi returns the upper bound of axis a.
+func (c CellD) Hi(a int) float64 { return c[2*a+1] }
+
+// Contains reports whether the point h lies in the cell, boundaries
+// included.
 func (c CellD) Contains(h Hyperspherical) bool {
-	if h.R < c.RMin || h.R > c.RMax {
-		return false
-	}
-	if h.Theta < c.ThetaMin || h.Theta > c.ThetaMax {
-		return false
-	}
-	for m := range c.PhiMin {
-		if h.Phi[m] < c.PhiMin[m] || h.Phi[m] > c.PhiMax[m] {
+	for a, x := range h {
+		if x < c[2*a] || x > c[2*a+1] {
 			return false
 		}
 	}
 	return true
 }
 
-// clone returns a deep copy (the Phi slices are shared between split
-// siblings otherwise).
-func (c CellD) clone() CellD {
-	out := c
-	out.PhiMin = append([]float64(nil), c.PhiMin...)
-	out.PhiMax = append([]float64(nil), c.PhiMax...)
-	return out
+// SplitPoint returns the point splitting axis a into two halves of equal
+// measure: the arithmetic midpoint on R (the Bisection's mid-radius sphere),
+// Theta and U, where the measure is uniform, and the equal-measure point of
+// the sin^(m+1) weight on Phi[m], m >= 1 (SinPowerSplit).
+func (c CellD) SplitPoint(a int) float64 {
+	if a <= AxisU {
+		return (c[2*a] + c[2*a+1]) / 2
+	}
+	return SinPowerSplit(a-1, c[2*a], c[2*a+1])
 }
 
-// AngularSplitPoint returns the equal-measure split point of angular axis
-// `axis`, where axis 0 is Theta and axis m+1 is Phi[m].
-func (c CellD) AngularSplitPoint(axis int) float64 {
-	if axis == 0 {
-		return (c.ThetaMin + c.ThetaMax) / 2
+// SubcellBit returns the bit that axis a sets in the index of a Bisection
+// sub-cell of a d-dimensional cell: bit a-1 for angular axis a (bit 0
+// Theta, bit 1 U, bit m+1 Phi[m]) and the top bit, d-1, for the radial
+// axis. A set bit selects the upper half, h[a] >= the split point.
+func SubcellBit(a, d int) int {
+	if a == AxisR {
+		return d - 1
 	}
-	m := axis - 1
-	return SinPowerSplit(m+1, c.PhiMin[m], c.PhiMax[m])
+	return a - 1
 }
 
-// SplitAngular splits the cell into two equal-measure halves along the given
-// angular axis (0 = Theta, m+1 = Phi[m]). The low half comes first.
-func (c CellD) SplitAngular(axis int) (lo, hi CellD) {
-	s := c.AngularSplitPoint(axis)
-	lo, hi = c.clone(), c.clone()
-	if axis == 0 {
-		lo.ThetaMax, hi.ThetaMin = s, s
-		return lo, hi
-	}
-	m := axis - 1
-	lo.PhiMax[m], hi.PhiMin[m] = s, s
-	return lo, hi
-}
-
-// AngularSideOf reports which half of an angular split the point falls into:
-// false for the low half, true for the high half (half-open split).
-func (c CellD) AngularSideOf(axis int, h Hyperspherical) bool {
-	s := c.AngularSplitPoint(axis)
-	if axis == 0 {
-		return h.Theta >= s
-	}
-	return h.Phi[axis-1] >= s
-}
-
-// SplitRadial splits the cell at the arithmetic radial midpoint. The inner
-// half comes first.
-func (c CellD) SplitRadial() (inner, outer CellD) {
-	m := (c.RMin + c.RMax) / 2
-	inner, outer = c.clone(), c.clone()
-	inner.RMax, outer.RMin = m, m
-	return inner, outer
-}
-
-// Subcells splits the cell along every axis once — the radial axis at its
-// midpoint and each angular axis at its equal-measure point — yielding the
-// 2^d sub-cells used by the d-dimensional Bisection step. Bit 0 of the index
-// selects the upper theta half, bit m+1 the upper Phi[m] half, and the top
-// bit (bit d-1) the outer radial half. For d = 2 this reproduces
-// RingSegment.Quarters up to index order, and for d = 3, ShellCell.Octants.
-func (c CellD) Subcells() []CellD {
-	d := c.Dim()
-	cells := []CellD{c.clone()}
-	for axis := 0; axis < d-1; axis++ {
-		next := make([]CellD, 0, len(cells)*2)
-		for _, cc := range cells {
-			lo, hi := cc.SplitAngular(axis)
-			next = append(next, lo, hi)
-		}
-		cells = next
-	}
-	next := make([]CellD, 0, len(cells)*2)
-	for _, cc := range cells {
-		in, out := cc.SplitRadial()
-		next = append(next, in, out)
-	}
-	// Reorder so that index bits follow the documented convention: the split
-	// order above interleaves halves as (cell, axis-bit) pairs with the most
-	// recent split in the lowest stride. Rebuild into bit-indexed order.
-	ordered := make([]CellD, len(next))
-	n := len(next)
-	for i := range n {
-		// After splitting axes 0..d-2 then radial, element i has bit layout
-		// where axis a contributes bit at stride 2^(d-1-a-1)... Easier: the
-		// loop structure doubles the slice each time appending (lo,hi), so
-		// the *last* split varies fastest. Radial was last => bit 0 of i is
-		// radial. Convert: documented index j has theta at bit 0, phi m at
-		// bit m+1, radial at bit d-1.
-		j := 0
-		if i&1 != 0 { // radial (split last, fastest-varying)
-			j |= 1 << (d - 1)
-		}
-		rest := i >> 1
-		// Angular axis d-2 split second-to-last, ..., axis 0 split first
-		// (slowest-varying).
-		for a := d - 2; a >= 0; a-- {
-			if rest&1 != 0 {
-				j |= 1 << a
-			}
-			rest >>= 1
-		}
-		ordered[j] = next[i]
-	}
-	return ordered
-}
-
-// SubcellIndex returns which Subcells entry the point h falls into, using
-// half-open splits consistent with the Subcells index convention.
-func (c CellD) SubcellIndex(h Hyperspherical) int {
-	d := c.Dim()
-	j := 0
-	for axis := 0; axis < d-1; axis++ {
-		if c.AngularSideOf(axis, h) {
-			j |= 1 << axis
+// SubcellInto writes sub-cell q of c (indexed per SubcellBit) into dst,
+// given c's split points, splits[a] = c.SplitPoint(a). Splitting every axis
+// once yields the 2^d sub-cells of the d-dimensional Bisection step. dst may
+// be c itself.
+func (c CellD) SubcellInto(dst CellD, q int, splits []float64) {
+	d := len(splits)
+	q = q<<1 | q>>uint(d-1)&1 // bit a of q now selects axis a's half
+	for a, s := range splits {
+		if q>>uint(a)&1 != 0 {
+			dst[2*a], dst[2*a+1] = s, c[2*a+1]
+		} else {
+			dst[2*a], dst[2*a+1] = c[2*a], s
 		}
 	}
-	if h.R >= (c.RMin+c.RMax)/2 {
-		j |= 1 << (d - 1)
-	}
-	return j
 }
 
-// MaxAngle returns an upper bound on the total angular extent of the cell —
-// the sum of the per-axis angular widths. Multiplied by RMax this bounds the
-// arc-length detour of moving between any two points of the cell along
-// angular coordinates, which is the quantity the Bisection path-length
+// MaxAngle returns the total angular extent of the cell: the Theta width
+// plus the widths of every polar angle (the U interval measured as the
+// polar angle it spans, acos(Lo) - acos(Hi)). Multiplied by the outer
+// radius it bounds the arc-length detour between any two points of the
+// cell along angular coordinates, the quantity the Bisection path-length
 // analysis charges per recursion level.
 func (c CellD) MaxAngle() float64 {
-	a := c.ThetaMax - c.ThetaMin
-	for m := range c.PhiMin {
-		a += c.PhiMax[m] - c.PhiMin[m]
+	a := c.Hi(AxisTheta) - c.Lo(AxisTheta)
+	if c.Dim() > 2 {
+		a += math.Acos(c.Lo(AxisU)) - math.Acos(c.Hi(AxisU))
+	}
+	for m := 3; m < c.Dim(); m++ {
+		a += c.Hi(m) - c.Lo(m)
 	}
 	return a
 }
@@ -194,15 +106,9 @@ func (c CellD) MaxAngle() float64 {
 // Degenerate reports whether no axis of the cell can be split further at
 // floating-point resolution.
 func (c CellD) Degenerate() bool {
-	flat := func(lo, hi float64) bool {
-		m := (lo + hi) / 2
-		return !(m > lo && m < hi)
-	}
-	if !flat(c.RMin, c.RMax) || !flat(c.ThetaMin, c.ThetaMax) {
-		return false
-	}
-	for m := range c.PhiMin {
-		if !flat(c.PhiMin[m], c.PhiMax[m]) {
+	for a := 0; a+1 < len(c); a += 2 {
+		lo, hi := c[a], c[a+1]
+		if m := (lo + hi) / 2; m > lo && m < hi {
 			return false
 		}
 	}

@@ -3,7 +3,40 @@ package geom
 import (
 	"math"
 	"testing"
+	"testing/quick"
 )
+
+// splitsOf returns every axis's split point of c.
+func splitsOf(c CellD) []float64 {
+	s := make([]float64, c.Dim())
+	for a := range s {
+		s[a] = c.SplitPoint(a)
+	}
+	return s
+}
+
+// subcells returns the 2^d sub-cells of c in SubcellBit index order.
+func subcells(c CellD) []CellD {
+	d, splits := c.Dim(), splitsOf(c)
+	out := make([]CellD, 1<<uint(d))
+	for q := range out {
+		out[q] = make(CellD, 2*d)
+		c.SubcellInto(out[q], q, splits)
+	}
+	return out
+}
+
+// subcellIndex returns the index of the sub-cell of c holding h, with
+// half-open splits: a set bit means h[a] >= the split point.
+func subcellIndex(c CellD, h Hyperspherical) int {
+	q := 0
+	for a := range h {
+		if h[a] >= c.SplitPoint(a) {
+			q |= 1 << uint(SubcellBit(a, c.Dim()))
+		}
+	}
+	return q
+}
 
 func TestFullShellDCoversSphere(t *testing.T) {
 	for d := 2; d <= 5; d++ {
@@ -15,7 +48,7 @@ func TestFullShellDCoversSphere(t *testing.T) {
 		// scaling into the radial range.
 		for _, seed := range [][]float64{
 			{1, 0, 0, 0, 0}, {0, -1, 0, 0, 0}, {0.3, 0.3, -0.3, 0.3, 0.3},
-			{-1, -1, -1, -1, -1}, {0, 0, 1, 0, 0},
+			{-1, -1, -1, -1, -1}, {0, 0, 1, 0, 0}, {0, 0, -1, 0, 0},
 		} {
 			v := make(Vec, d)
 			copy(v, seed[:d])
@@ -32,20 +65,27 @@ func TestFullShellDCoversSphere(t *testing.T) {
 }
 
 func TestCellDSplitAngularEqualMeasure(t *testing.T) {
-	c := FullShellD(4, 0.5, 1)
-	// Axis 0 (theta) splits at the arithmetic midpoint.
-	lo, hi := c.SplitAngular(0)
-	if !almostEqual(lo.ThetaMax, math.Pi, 1e-12) || !almostEqual(hi.ThetaMin, math.Pi, 1e-12) {
-		t.Errorf("theta split at %v / %v, want pi", lo.ThetaMax, hi.ThetaMin)
+	c := FullShellD(5, 0.5, 1)
+	// Theta and U split at their arithmetic midpoints: the measure is
+	// uniform in both.
+	if got := c.SplitPoint(AxisTheta); got != math.Pi {
+		t.Errorf("theta split at %v, want pi", got)
 	}
-	// Axis m+1 (Phi[m]) splits the sin^(m+1) measure equally.
-	for axis := 1; axis <= c.NumAngularAxes()-1; axis++ {
-		m := axis - 1
-		lo, hi := c.SplitAngular(axis)
-		left := SinPowerIntegral(m+1, lo.PhiMax[m]) - SinPowerIntegral(m+1, lo.PhiMin[m])
-		right := SinPowerIntegral(m+1, hi.PhiMax[m]) - SinPowerIntegral(m+1, hi.PhiMin[m])
-		if !almostEqual(left, right, 1e-9) {
-			t.Errorf("axis %d: measures %v vs %v", axis, left, right)
+	if got := c.SplitPoint(AxisU); got != 0 {
+		t.Errorf("U split at %v, want 0", got)
+	}
+	// Phi[m] (axis m+2) splits the sin^(m+1) measure equally, on the full
+	// range and on an off-centre interval.
+	for a := 3; a < c.Dim(); a++ {
+		for _, iv := range [][2]float64{{0, math.Pi}, {0.2, 1.1}} {
+			cell := FullShellD(5, 0.5, 1)
+			cell[2*a], cell[2*a+1] = iv[0], iv[1]
+			s := cell.SplitPoint(a)
+			left := SinPowerIntegral(a-1, s) - SinPowerIntegral(a-1, iv[0])
+			right := SinPowerIntegral(a-1, iv[1]) - SinPowerIntegral(a-1, s)
+			if !almostEqual(left, right, 1e-9) {
+				t.Errorf("axis %d on %v: measures %v vs %v", a, iv, left, right)
+			}
 		}
 	}
 }
@@ -53,24 +93,22 @@ func TestCellDSplitAngularEqualMeasure(t *testing.T) {
 func TestCellDSubcellsCountAndContainment(t *testing.T) {
 	for d := 2; d <= 5; d++ {
 		c := FullShellD(d, 0.4, 1)
-		subs := c.Subcells()
+		subs := subcells(c)
 		if len(subs) != 1<<d {
 			t.Fatalf("d=%d: %d subcells, want %d", d, len(subs), 1<<d)
 		}
 		for i, s := range subs {
-			if s.RMin < c.RMin-1e-12 || s.RMax > c.RMax+1e-12 {
-				t.Errorf("d=%d sub %d: radial range escapes parent", d, i)
-			}
-			if s.ThetaMin < c.ThetaMin-1e-12 || s.ThetaMax > c.ThetaMax+1e-12 {
-				t.Errorf("d=%d sub %d: theta range escapes parent", d, i)
+			for a := 0; a < d; a++ {
+				if s.Lo(a) < c.Lo(a) || s.Hi(a) > c.Hi(a) || s.Lo(a) >= s.Hi(a) {
+					t.Errorf("d=%d sub %d: axis %d range [%v, %v] escapes [%v, %v]",
+						d, i, a, s.Lo(a), s.Hi(a), c.Lo(a), c.Hi(a))
+				}
 			}
 		}
 		// Index-bit convention: bit d-1 selects the outer radial half.
-		mid := (c.RMin + c.RMax) / 2
+		mid := c.SplitPoint(AxisR)
 		for i, s := range subs {
-			wantOuter := i&(1<<(d-1)) != 0
-			isOuter := s.RMin >= mid-1e-12
-			if wantOuter != isOuter {
+			if wantOuter, isOuter := i&(1<<(d-1)) != 0, s.Lo(AxisR) == mid; wantOuter != isOuter {
 				t.Errorf("d=%d sub %d: radial bit mismatch", d, i)
 			}
 		}
@@ -78,14 +116,13 @@ func TestCellDSubcellsCountAndContainment(t *testing.T) {
 }
 
 func TestCellDSubcellIndexConsistent(t *testing.T) {
-	dims := []int{2, 3, 4}
 	seeds := [][]float64{
 		{0.6, 0.1, -0.2, 0.3}, {-0.4, -0.4, 0.4, -0.1},
 		{0.05, 0.7, 0.1, 0.1}, {0.5, -0.5, -0.5, 0.5},
 	}
-	for _, d := range dims {
+	for _, d := range []int{2, 3, 4} {
 		c := FullShellD(d, 0.3, 1)
-		subs := c.Subcells()
+		subs := subcells(c)
 		for _, seed := range seeds {
 			v := make(Vec, d)
 			copy(v, seed[:d])
@@ -95,30 +132,23 @@ func TestCellDSubcellIndexConsistent(t *testing.T) {
 			}
 			v = v.Scale(0.8 / n) // radius 0.8, inside the shell
 			h := v.ToHyperspherical()
-			i := c.SubcellIndex(h)
-			if i < 0 || i >= len(subs) {
-				t.Fatalf("d=%d: index %d out of range", d, i)
-			}
-			if !subs[i].Contains(h) {
-				t.Errorf("d=%d: subcell %d does not contain %v (h=%+v cell=%+v)", d, i, v, h, subs[i])
+			if i := subcellIndex(c, h); !subs[i].Contains(h) {
+				t.Errorf("d=%d: subcell %d does not contain %v (h=%v cell=%+v)", d, i, v, h, subs[i])
 			}
 		}
 	}
 }
 
 func TestCellDMatchesRingSegmentIn2D(t *testing.T) {
-	c := FullShellD(2, 0.5, 1)
-	subs := c.Subcells()
-	rs := RingSegment{RMin: 0.5, RMax: 1, ThetaMin: 0, ThetaMax: TwoPi}
-	qs := rs.Quarters()
-	// CellD order: bit 0 = theta-high, bit 1 = radial-outer.
-	// RingSegment order: index 0..3 = (inner,lo),(inner,hi),(outer,lo),(outer,hi).
-	pairs := [][2]int{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	for _, p := range pairs {
-		s, q := subs[p[0]], qs[p[1]]
-		if !almostEqual(s.RMin, q.RMin, 1e-12) || !almostEqual(s.RMax, q.RMax, 1e-12) ||
-			!almostEqual(s.ThetaMin, q.ThetaMin, 1e-12) || !almostEqual(s.ThetaMax, q.ThetaMax, 1e-12) {
-			t.Errorf("subcell %d = %+v, quarter %d = %+v", p[0], s, p[1], q)
+	subs := subcells(FullShellD(2, 0.5, 1))
+	qs := RingSegment{RMin: 0.5, RMax: 1, ThetaMin: 0, ThetaMax: TwoPi}.Quarters()
+	// CellD order: bit 0 = theta-high, bit 1 = radial-outer, which is
+	// RingSegment's (inner,lo), (inner,hi), (outer,lo), (outer,hi).
+	for i, s := range subs {
+		q := qs[i]
+		if s.Lo(AxisR) != q.RMin || s.Hi(AxisR) != q.RMax ||
+			s.Lo(AxisTheta) != q.ThetaMin || s.Hi(AxisTheta) != q.ThetaMax {
+			t.Errorf("subcell %d = %+v, quarter %d = %+v", i, s, i, q)
 		}
 	}
 }
@@ -129,33 +159,90 @@ func TestCellDMaxAngle(t *testing.T) {
 	if got := c.MaxAngle(); !almostEqual(got, want, 1e-12) {
 		t.Errorf("MaxAngle = %v, want %v", got, want)
 	}
-	subs := c.Subcells()
-	for i, s := range subs {
+	for i, s := range subcells(c) {
 		if s.MaxAngle() >= c.MaxAngle() {
 			t.Errorf("subcell %d angle %v not smaller than parent %v", i, s.MaxAngle(), c.MaxAngle())
 		}
 	}
+	// The U interval counts as the polar angle it spans.
+	cap := CellD{0, 1, 0, 1, 0, 1}
+	if got := cap.MaxAngle(); !almostEqual(got, 1+math.Pi/2, 1e-12) {
+		t.Errorf("cap MaxAngle = %v, want %v", got, 1+math.Pi/2)
+	}
 }
 
 func TestCellDDegenerate(t *testing.T) {
-	c := FullShellD(3, 0.5, 1)
-	if c.Degenerate() {
+	if FullShellD(3, 0.5, 1).Degenerate() {
 		t.Error("regular cell reported degenerate")
 	}
-	pt := CellD{
-		RMin: 1, RMax: 1, ThetaMin: 2, ThetaMax: 2,
-		PhiMin: []float64{0.5}, PhiMax: []float64{0.5},
-	}
+	pt := CellD{1, 1, 2, 2, 0.5, 0.5, 0.5, 0.5}
 	if !pt.Degenerate() {
 		t.Error("point cell not reported degenerate")
+	}
+	// A cell flat on every axis but one can still be split.
+	pt[7] = 1
+	if pt.Degenerate() {
+		t.Error("cell with one open axis reported degenerate")
 	}
 }
 
 func TestCellDCloneIndependence(t *testing.T) {
+	// SubcellInto writes only dst, and may overwrite its own source cell.
 	c := FullShellD(4, 0.5, 1)
-	lo, hi := c.SplitAngular(2)
-	lo.PhiMin[1] = -99
-	if hi.PhiMin[1] == -99 || c.PhiMin[1] == -99 {
-		t.Error("split halves share Phi storage")
+	splits := splitsOf(c)
+	dst := make(CellD, 8)
+	c.SubcellInto(dst, 5, splits)
+	dst[6] = -99
+	if c.Lo(3) == -99 {
+		t.Error("sub-cell shares storage with its parent")
+	}
+	c.SubcellInto(dst, 5, splits)
+	c.SubcellInto(c, 5, splits)
+	for a := range c {
+		if c[a] != dst[a] {
+			t.Fatalf("in-place sub-cell %+v differs from %+v", c, dst)
+		}
+	}
+}
+
+func TestShellCellOctantsPartition(t *testing.T) {
+	s := CellD{1, 2, 0, 1, -0.5, 0.5}
+	var volume float64
+	for i, o := range subcells(s) {
+		if o.Lo(AxisR) < s.Lo(AxisR) || o.Hi(AxisR) > s.Hi(AxisR) {
+			t.Errorf("octant %d radial range escapes parent", i)
+		}
+		// Shell-cell measure in (theta, u) is exactly the box area; all
+		// octants at the same radial half must have equal angular measure.
+		volume += (o.Hi(AxisTheta) - o.Lo(AxisTheta)) * (o.Hi(AxisU) - o.Lo(AxisU))
+	}
+	parent := (s.Hi(AxisTheta) - s.Lo(AxisTheta)) * (s.Hi(AxisU) - s.Lo(AxisU))
+	if !almostEqual(volume, 2*parent, 1e-12) {
+		t.Errorf("octants angular measure = %v, want %v", volume, 2*parent)
+	}
+}
+
+func TestShellCellOctantIndexConsistent(t *testing.T) {
+	s := CellD{0.2, 1, 1, 2.5, -1, 0.25}
+	os := subcells(s)
+	f := func(rf, tf, uf float64) bool {
+		h := Hyperspherical{rf, tf, uf}
+		for a := range h {
+			h[a] = s.Lo(a) + math.Abs(math.Mod(h[a], 1))*(s.Hi(a)-s.Lo(a))
+		}
+		i := subcellIndex(s, h)
+		return i >= 0 && i < 8 && os[i].Contains(h)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestShellCellDegenerate(t *testing.T) {
+	if (CellD{1, 2, 0, 1, 0, 1}).Degenerate() {
+		t.Error("regular cell reported degenerate")
+	}
+	if !(CellD{1, 1, 2, 2, 0.5, 0.5}).Degenerate() {
+		t.Error("point cell not reported degenerate")
 	}
 }

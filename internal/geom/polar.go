@@ -51,54 +51,23 @@ func AngleDist(a, b float64) float64 {
 	return d
 }
 
-// Spherical is a point of 3-space in spherical coordinates: radius R >= 0,
-// azimuth Theta in [0, 2*pi), and U = cos(polar angle) in [-1, 1]. The
-// surface measure of the unit sphere is uniform in (Theta, U), which makes
-// equal-area splitting trivial.
-type Spherical struct {
-	R, Theta, U float64
-}
-
-// ToSpherical converts p to spherical coordinates around the origin.
-func (p Point3) ToSpherical() Spherical {
-	r := p.Norm()
-	if r == 0 {
-		return Spherical{R: 0, Theta: 0, U: 1}
-	}
-	u := p.Z / r
-	if u > 1 {
-		u = 1
-	} else if u < -1 {
-		u = -1
-	}
-	return Spherical{
-		R:     r,
-		Theta: NormalizeAngle(math.Atan2(p.Y, p.X)),
-		U:     u,
-	}
-}
-
-// SphericalAround converts p to spherical coordinates around origin.
-func (p Point3) SphericalAround(origin Point3) Spherical {
-	return p.Sub(origin).ToSpherical()
-}
-
-// ToPoint converts spherical coordinates back to a Cartesian point.
-func (c Spherical) ToPoint() Point3 {
-	sinPhi := math.Sqrt(math.Max(0, 1-c.U*c.U))
-	s, cos := math.Sincos(c.Theta)
-	return Point3{
-		X: c.R * sinPhi * cos,
-		Y: c.R * sinPhi * s,
-		Z: c.R * c.U,
-	}
-}
+// Axes of a Hyperspherical point, in storage order; polar angle Phi[m],
+// m >= 1, sits at index m+2.
+const (
+	AxisR     = 0 // radius
+	AxisTheta = 1 // azimuth
+	AxisU     = 2 // cosine of the first polar angle (d >= 3)
+)
 
 // Hyperspherical holds the hyperspherical coordinates of a point of
-// d-dimensional space, d >= 2: radius R, azimuth Theta in [0, 2*pi), and
-// polar angles Phi[0..d-3], each in [0, pi].
+// d-dimensional space, d >= 2, flat: one float64 per axis, len(h) == d.
 //
-// The Cartesian reconstruction convention (matching ToHyperspherical) is:
+//	h[AxisR]     = R >= 0
+//	h[AxisTheta] = Theta in [0, 2*pi), the azimuth
+//	h[AxisU]     = U = cos(Phi[0]) in [-1, 1]          (d >= 3)
+//	h[m+2]       = Phi[m] in [0, pi], m = 1 .. d-3      (d >= 4)
+//
+// The Cartesian reconstruction convention (matching HypersphericalInto) is
 //
 //	x_d     = R * cos(Phi[d-3])
 //	x_{d-1} = R * sin(Phi[d-3]) * cos(Phi[d-4])
@@ -107,46 +76,90 @@ func (c Spherical) ToPoint() Point3 {
 //	x_2     = R * sin(Phi[d-3]) * ... * sin(Phi[0]) * sin(Theta)
 //	x_1     = R * sin(Phi[d-3]) * ... * sin(Phi[0]) * cos(Theta)
 //
-// so Phi[m] carries surface measure proportional to sin(Phi[m])^(m+1).
-type Hyperspherical struct {
-	R     float64
-	Theta float64
-	Phi   []float64
-}
+// so Phi[m] carries surface measure proportional to sin(Phi[m])^(m+1). For
+// m = 0 that measure is uniform in U = cos(Phi[0]), which is why the first
+// polar axis is stored as U: its equal-measure splits are midpoints. At
+// d = 3, (R, Theta, U) are the usual spherical coordinates with U = z/R.
+//
+// A slice of n points is stored flat too, point i at [i*d, (i+1)*d).
+type Hyperspherical []float64
 
-// ToHyperspherical converts v (dimension d >= 2) to hyperspherical
-// coordinates around the origin.
-func (v Vec) ToHyperspherical() Hyperspherical {
+// HypersphericalInto writes the hyperspherical coordinates of v around the
+// origin into h (len(h) == len(v) >= 2). h may be v itself: the conversion
+// then happens in place. The origin maps to R = 0, Theta = 0, U = 1 and
+// Phi[m] = 0.
+func (v Vec) HypersphericalInto(h Hyperspherical) {
 	d := len(v)
 	if d < 2 {
 		panic("geom: hyperspherical coordinates need dimension >= 2")
 	}
-	h := Hyperspherical{Phi: make([]float64, d-2)}
-	h.R = v.Norm()
-	h.Theta = NormalizeAngle(math.Atan2(v[1], v[0]))
-	// Work outward: Phi[m] is the angle between the axis x_{m+3} and the
-	// projection of v onto span(x_1..x_{m+3}).
-	norm := math.Hypot(v[0], v[1])
-	for m := 0; m < d-2; m++ {
-		h.Phi[m] = math.Atan2(norm, v[m+2])
-		norm = math.Hypot(norm, v[m+2])
+	mustSameDim(len(h), d)
+	var s float64
+	for _, x := range v {
+		s += x * x
 	}
+	r := math.Sqrt(s)
+	x0, x1 := v[0], v[1]
+	h[AxisR], h[AxisTheta] = r, NormalizeAngle(math.Atan2(x1, x0))
+	if d == 2 {
+		return
+	}
+	// U is x_3 over the norm of (x_1, x_2, x_3) — the full radius at d = 3.
+	x2 := v[2]
+	n3 := r
+	if d > 3 {
+		n3 = math.Sqrt(x0*x0 + x1*x1 + x2*x2)
+	}
+	u := 1.0
+	if n3 != 0 {
+		u = min(max(x2/n3, -1), 1)
+	}
+	h[AxisU] = u
+	// Phi[m] is the angle between the axis x_{m+3} and the projection of v
+	// onto span(x_1..x_{m+3}); each v[m+2] is read before h[m+2] replaces it.
+	norm := math.Hypot(math.Hypot(x0, x1), x2)
+	for m := 1; m < d-2; m++ {
+		x := v[m+2]
+		h[m+2] = math.Atan2(norm, x)
+		norm = math.Hypot(norm, x)
+	}
+}
+
+// ToHyperspherical returns the hyperspherical coordinates of v around the
+// origin in a new slice.
+func (v Vec) ToHyperspherical() Hyperspherical {
+	h := make(Hyperspherical, len(v))
+	v.HypersphericalInto(h)
 	return h
 }
 
-// ToVec converts hyperspherical coordinates back to a Cartesian vector of
-// dimension len(Phi)+2.
-func (h Hyperspherical) ToVec() Vec {
-	d := len(h.Phi) + 2
-	v := make(Vec, d)
-	prod := h.R
-	for m := d - 3; m >= 0; m-- {
-		s, c := math.Sincos(h.Phi[m])
+// VecInto writes the Cartesian point of h into v (len(v) == len(h)).
+func (h Hyperspherical) VecInto(v Vec) {
+	d := len(h)
+	mustSameDim(len(v), d)
+	prod := h[AxisR]
+	for m := d - 3; m >= 1; m-- {
+		s, c := math.Sincos(h[m+2])
 		v[m+2] = prod * c
 		prod *= s
 	}
-	s, c := math.Sincos(h.Theta)
+	if d > 2 {
+		u := h[AxisU]
+		v[2] = prod * u
+		w := 1 - u*u
+		if w < 0 {
+			w = 0
+		}
+		prod *= math.Sqrt(w)
+	}
+	s, c := math.Sincos(h[AxisTheta])
 	v[0] = prod * c
 	v[1] = prod * s
+}
+
+// ToVec returns the Cartesian point of h in a new slice.
+func (h Hyperspherical) ToVec() Vec {
+	v := make(Vec, len(h))
+	h.VecInto(v)
 	return v
 }

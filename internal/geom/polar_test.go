@@ -81,7 +81,7 @@ func TestSphericalRoundTrip(t *testing.T) {
 		{0.5, -0.5, 0.7}, {-2, 1, 3},
 	}
 	for _, p := range pts {
-		got := p.ToSpherical().ToPoint()
+		got := p.Vec().ToHyperspherical().ToVec().AsPoint3()
 		if p.Dist(got) > 1e-12 {
 			t.Errorf("round trip of %v = %v", p, got)
 		}
@@ -89,20 +89,21 @@ func TestSphericalRoundTrip(t *testing.T) {
 }
 
 func TestSphericalOrigin(t *testing.T) {
-	s := (Point3{}).ToSpherical()
-	if s.R != 0 {
-		t.Errorf("origin R = %v, want 0", s.R)
-	}
-	if s.U < -1 || s.U > 1 {
-		t.Errorf("origin U = %v out of range", s.U)
+	for d := 2; d <= 5; d++ {
+		h := NewVec(d).ToHyperspherical()
+		if h[AxisR] != 0 || h[AxisTheta] != 0 {
+			t.Errorf("d=%d: origin = %v, want R = Theta = 0", d, h)
+		}
+		if d > 2 && h[AxisU] != 1 {
+			t.Errorf("d=%d: origin U = %v, want 1", d, h[AxisU])
+		}
 	}
 }
 
 func TestSphericalURange(t *testing.T) {
 	f := func(x, y, z int16) bool {
-		p := Point3{float64(x), float64(y), float64(z)}
-		s := p.ToSpherical()
-		return s.U >= -1 && s.U <= 1 && s.Theta >= 0 && s.Theta < TwoPi && s.R >= 0
+		h := Vec{float64(x), float64(y), float64(z)}.ToHyperspherical()
+		return h[AxisU] >= -1 && h[AxisU] <= 1 && h[AxisTheta] >= 0 && h[AxisTheta] < TwoPi && h[AxisR] >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -116,6 +117,7 @@ func TestHypersphericalRoundTrip(t *testing.T) {
 		{1, 2, 3},
 		{-1, 0.5, 0, 2},
 		{0.1, 0.2, 0.3, 0.4, 0.5},
+		{0, 0, 0, -1, 0},
 	}
 	for _, v := range vecs {
 		h := v.ToHyperspherical()
@@ -123,29 +125,46 @@ func TestHypersphericalRoundTrip(t *testing.T) {
 		if v.Dist(got) > 1e-10 {
 			t.Errorf("round trip of %v = %v", v, got)
 		}
-		if !almostEqual(h.R, v.Norm(), 1e-12) {
-			t.Errorf("R of %v = %v, want %v", v, h.R, v.Norm())
+		if !almostEqual(h[AxisR], v.Norm(), 1e-12) {
+			t.Errorf("R of %v = %v, want %v", v, h[AxisR], v.Norm())
 		}
-		for m, phi := range h.Phi {
-			if phi < 0 || phi > math.Pi {
-				t.Errorf("Phi[%d] of %v = %v out of [0, pi]", m, v, phi)
+		if len(h) > 2 && (h[AxisU] < -1 || h[AxisU] > 1) {
+			t.Errorf("U of %v = %v out of [-1, 1]", v, h[AxisU])
+		}
+		for a := 3; a < len(h); a++ {
+			if h[a] < 0 || h[a] > math.Pi {
+				t.Errorf("Phi[%d] of %v = %v out of [0, pi]", a-2, v, h[a])
 			}
 		}
 	}
 }
 
+// TestHyperspherical3DMatchesSpherical: at d = 3 the coordinates are the
+// usual spherical ones — R the norm, Theta = atan2(y, x), U = z/R — bit for
+// bit.
 func TestHyperspherical3DMatchesSpherical(t *testing.T) {
-	p := Point3{0.3, -0.4, 0.5}
-	h := p.Vec().ToHyperspherical()
-	s := p.ToSpherical()
-	if !almostEqual(h.R, s.R, 1e-12) {
-		t.Errorf("R: %v vs %v", h.R, s.R)
+	for _, p := range []Point3{{0.3, -0.4, 0.5}, {-1e-3, 2, -7}, {0, 0, -2}} {
+		h := p.Vec().ToHyperspherical()
+		r := p.Norm()
+		want := Hyperspherical{r, NormalizeAngle(math.Atan2(p.Y, p.X)), p.Z / r}
+		for a := range want {
+			if h[a] != want[a] {
+				t.Errorf("%v: axis %d = %v, want %v", p, a, h[a], want[a])
+			}
+		}
 	}
-	if !almostEqual(h.Theta, s.Theta, 1e-12) {
-		t.Errorf("Theta: %v vs %v", h.Theta, s.Theta)
-	}
-	if !almostEqual(math.Cos(h.Phi[0]), s.U, 1e-12) {
-		t.Errorf("cos(Phi[0]) = %v vs U = %v", math.Cos(h.Phi[0]), s.U)
+}
+
+func TestHypersphericalInPlace(t *testing.T) {
+	for _, v := range []Vec{{0.3, -0.4}, {1, 2, 3}, {-1, 0.5, 0, 2}, {0.1, 0.2, 0.3, 0.4, 0.5}} {
+		want := v.ToHyperspherical()
+		h := v.Clone()
+		Vec(h).HypersphericalInto(Hyperspherical(h))
+		for a := range want {
+			if h[a] != want[a] {
+				t.Errorf("%v: in-place axis %d = %v, want %v", v, a, h[a], want[a])
+			}
+		}
 	}
 }
 

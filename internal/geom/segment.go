@@ -62,77 +62,3 @@ func (s RingSegment) Degenerate() bool {
 	angularFlat := !(s.MidTheta() > s.ThetaMin && s.MidTheta() < s.ThetaMax)
 	return radialFlat && angularFlat
 }
-
-// ShellCell is a cell of a 3-D spherical grid in (R, Theta, U) coordinates:
-// radii in [RMin, RMax], azimuths in [ThetaMin, ThetaMax], and cosine of the
-// polar angle in [UMin, UMax]. Surface measure is uniform in (Theta, U), so
-// equal-measure angular splits are midpoint splits.
-type ShellCell struct {
-	RMin, RMax         float64
-	ThetaMin, ThetaMax float64
-	UMin, UMax         float64
-}
-
-// Contains reports whether the spherical point c lies in the cell.
-func (s ShellCell) Contains(c Spherical) bool {
-	return c.R >= s.RMin && c.R <= s.RMax &&
-		c.Theta >= s.ThetaMin && c.Theta <= s.ThetaMax &&
-		c.U >= s.UMin && c.U <= s.UMax
-}
-
-// Octants splits the cell into its eight Bisection sub-cells by bisecting all
-// three axes (arithmetic midpoints; the U midpoint is the equal-measure
-// split). Index bits: bit 0 = upper theta half, bit 1 = upper U half,
-// bit 2 = outer radial half.
-func (s ShellCell) Octants() [8]ShellCell {
-	mr := (s.RMin + s.RMax) / 2
-	mt := (s.ThetaMin + s.ThetaMax) / 2
-	mu := (s.UMin + s.UMax) / 2
-	var out [8]ShellCell
-	for i := range out {
-		c := s
-		if i&4 != 0 {
-			c.RMin = mr
-		} else {
-			c.RMax = mr
-		}
-		if i&2 != 0 {
-			c.UMin = mu
-		} else {
-			c.UMax = mu
-		}
-		if i&1 != 0 {
-			c.ThetaMin = mt
-		} else {
-			c.ThetaMax = mt
-		}
-		out[i] = c
-	}
-	return out
-}
-
-// OctantIndex returns which of the eight Octants sub-cells the spherical
-// point c falls into, using half-open splits.
-func (s ShellCell) OctantIndex(c Spherical) int {
-	i := 0
-	if c.R >= (s.RMin+s.RMax)/2 {
-		i |= 4
-	}
-	if c.U >= (s.UMin+s.UMax)/2 {
-		i |= 2
-	}
-	if c.Theta >= (s.ThetaMin+s.ThetaMax)/2 {
-		i |= 1
-	}
-	return i
-}
-
-// Degenerate reports whether the cell can no longer be split along any axis
-// at floating-point resolution.
-func (s ShellCell) Degenerate() bool {
-	flat := func(lo, hi float64) bool {
-		m := (lo + hi) / 2
-		return !(m > lo && m < hi)
-	}
-	return flat(s.RMin, s.RMax) && flat(s.ThetaMin, s.ThetaMax) && flat(s.UMin, s.UMax)
-}

@@ -76,51 +76,3 @@ func TestRingSegmentDegenerate(t *testing.T) {
 		t.Error("radially-flat segment reported degenerate")
 	}
 }
-
-func TestShellCellOctantsPartition(t *testing.T) {
-	s := ShellCell{RMin: 1, RMax: 2, ThetaMin: 0, ThetaMax: 1, UMin: -0.5, UMax: 0.5}
-	os := s.Octants()
-	var volume float64
-	for i, o := range os {
-		if o.RMin < s.RMin || o.RMax > s.RMax {
-			t.Errorf("octant %d radial range escapes parent", i)
-		}
-		// Shell-cell measure in (theta, u) is exactly the box area; all
-		// octants at the same radial half must have equal angular measure.
-		volume += (o.ThetaMax - o.ThetaMin) * (o.UMax - o.UMin)
-	}
-	parent := (s.ThetaMax - s.ThetaMin) * (s.UMax - s.UMin)
-	if !almostEqual(volume, 2*parent, 1e-12) {
-		t.Errorf("octants angular measure = %v, want %v", volume, 2*parent)
-	}
-}
-
-func TestShellCellOctantIndexConsistent(t *testing.T) {
-	s := ShellCell{RMin: 0.2, RMax: 1, ThetaMin: 1, ThetaMax: 2.5, UMin: -1, UMax: 0.25}
-	os := s.Octants()
-	f := func(rf, tf, uf float64) bool {
-		rf = math.Abs(math.Mod(rf, 1))
-		tf = math.Abs(math.Mod(tf, 1))
-		uf = math.Abs(math.Mod(uf, 1))
-		c := Spherical{
-			R:     s.RMin + rf*(s.RMax-s.RMin),
-			Theta: s.ThetaMin + tf*(s.ThetaMax-s.ThetaMin),
-			U:     s.UMin + uf*(s.UMax-s.UMin),
-		}
-		i := s.OctantIndex(c)
-		return i >= 0 && i < 8 && os[i].Contains(c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShellCellDegenerate(t *testing.T) {
-	if (ShellCell{RMin: 1, RMax: 2, ThetaMin: 0, ThetaMax: 1, UMin: 0, UMax: 1}).Degenerate() {
-		t.Error("regular cell reported degenerate")
-	}
-	s := ShellCell{RMin: 1, RMax: 1, ThetaMin: 2, ThetaMax: 2, UMin: 0.5, UMax: 0.5}
-	if !s.Degenerate() {
-		t.Error("point cell not reported degenerate")
-	}
-}

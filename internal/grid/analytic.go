@@ -252,47 +252,19 @@ func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax, workers int)
 	}
 }
 
-// MaxFeasibleK3Analytic returns exactly MaxFeasibleK3(sphericals, scale,
-// kMax) via the analytic search, split over workers goroutines.
-func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax, workers int) int {
-	if kMax < 1 {
-		kMax = 1
+// MaxFeasibleKDAnalytic returns exactly MaxFeasibleKD(d, coords, scale,
+// kMax) via the analytic search, split over workers goroutines. The
+// returned grid shares the tables of the grid the verification pass
+// classified with: a shallower grid's Phi splits are a prefix of a deeper
+// one's, and its sphere radii a suffix (radius i of depth k is radius
+// i+cap-k of depth cap, bit for bit).
+func MaxFeasibleKDAnalytic(d int, coords []float64, scale float64, kMax, workers int) (*GridD, error) {
+	if _, err := NewGridD(d, 1, scale); err != nil {
+		return nil, err
 	}
-	for cap := analyticCap(len(sphericals), kMax); ; cap = kMax {
-		if cap <= 1 {
-			return 1
-		}
-		ref := SphereGrid3{K: cap, Scale: scale}
-		b := classify(cap, len(sphericals), workers, func(b *occBits, lo, hi int) {
-			for _, c := range sphericals[lo:hi] {
-				shell := ref.ShellOf(c.R)
-				if shell > 0 && shell < cap {
-					b.mark(cap-shell, ref.SegIndexOf(shell, c.Theta, c.U))
-				}
-			}
-		})
-		if k := b.maxFeasible(); k < cap || cap == kMax {
-			return k
-		}
-	}
-}
-
-// MaxFeasibleKDAnalytic returns exactly MaxFeasibleKD(d, hs, scale, kMax)
-// via the analytic search. Beyond skipping the per-candidate bucketing
-// passes, it materializes one grid (at the capped resolution) instead of one
-// per candidate; the returned grid shares that grid's angular tables, which
-// are identical for every depth (levels do not depend on K). The
-// classification pass is split over workers goroutines.
-func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax, workers int) (*GridD, error) {
-	if kMax < 1 {
-		kMax = 1
-	}
-	if kMax > 28 {
-		// The trial loop fails constructing its first (deepest) grid; fail
-		// identically without consulting the estimate.
-		return NewGridD(d, kMax, scale)
-	}
-	for cap := analyticCap(len(hs), kMax); ; cap = kMax {
+	n := len(coords) / d
+	kMax = feasibleKMax(kMax, n)
+	for cap := analyticCap(n, kMax); ; cap = kMax {
 		ref, err := NewGridD(d, cap, scale)
 		if err != nil {
 			return nil, err
@@ -300,9 +272,10 @@ func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax,
 		if cap <= 1 {
 			return ref, nil
 		}
-		b := classify(cap, len(hs), workers, func(b *occBits, lo, hi int) {
-			for _, h := range hs[lo:hi] {
-				shell := ref.ShellOf(h.R)
+		b := classify(cap, n, workers, func(b *occBits, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				h := coords[i*d : (i+1)*d]
+				shell := ref.ShellOf(h[geom.AxisR])
 				if shell > 0 && shell < cap {
 					b.mark(cap-shell, ref.SegIndexOf(shell, h))
 				}
@@ -315,6 +288,6 @@ func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax,
 		if k == cap {
 			return ref, nil
 		}
-		return &GridD{D: d, K: k, Scale: scale, levels: ref.levels[:k+1]}, nil
+		return &GridD{D: d, K: k, Scale: scale, radii: ref.radii[cap-k:], phi: ref.phi}, nil
 	}
 }

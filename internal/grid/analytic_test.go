@@ -220,20 +220,19 @@ func TestMaxFeasibleKAnalyticEscalates(t *testing.T) {
 
 func TestMaxFeasibleK3AnalyticMatchesTrial(t *testing.T) {
 	for _, n := range []int{1, 5, 50, 1000, 10000} {
-		r := rng.New(uint64(300 + n))
-		pts := make([]geom.Spherical, n)
+		pts := flat3(rng.New(uint64(300+n)).UniformBall3N(n, 1))
 		var scale float64
-		for i := range pts {
-			pts[i] = r.UniformBall3(1).SphericalAround(geom.Point3{})
-			if pts[i].R > scale {
-				scale = pts[i].R
-			}
+		for i := 0; i < len(pts); i += 3 {
+			scale = max(scale, pts[i])
 		}
 		for _, kMax := range []int{1, 4, 8, DefaultKMax(n)} {
-			want := MaxFeasibleK3(pts, scale, kMax)
-			got := MaxFeasibleK3Analytic(pts, scale, kMax, 1)
-			if got != want {
-				t.Errorf("n=%d kMax=%d: analytic %d, trial %d", n, kMax, got, want)
+			want, errW := MaxFeasibleKD(3, pts, scale, kMax)
+			got, errG := MaxFeasibleKDAnalytic(3, pts, scale, kMax, 1)
+			if errW != nil || errG != nil {
+				t.Fatalf("n=%d kMax=%d: %v / %v", n, kMax, errW, errG)
+			}
+			if got.K != want.K {
+				t.Errorf("n=%d kMax=%d: analytic %d, trial %d", n, kMax, got.K, want.K)
 			}
 		}
 	}
@@ -242,31 +241,25 @@ func TestMaxFeasibleK3AnalyticMatchesTrial(t *testing.T) {
 func TestMaxFeasibleKDAnalyticMatchesTrial(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 5} {
 		for _, n := range []int{1, 20, 500, 5000} {
-			r := rng.New(uint64(100*d + n))
-			pts := make([]geom.Hyperspherical, n)
+			pts := flatD(rng.New(uint64(100*d+n)).UniformBallDN(n, d, 1))
 			var scale float64
-			for i := range pts {
-				pts[i] = r.UniformBallD(d, 1).ToHyperspherical()
-				if pts[i].R > scale {
-					scale = pts[i].R
-				}
+			for i := 0; i < len(pts); i += d {
+				scale = max(scale, pts[i])
 			}
 			for _, kMax := range []int{1, 4, DefaultKMax(n)} {
 				want, errW := MaxFeasibleKD(d, pts, scale, kMax)
 				got, errG := MaxFeasibleKDAnalytic(d, pts, scale, kMax, 1)
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("d=%d n=%d kMax=%d: error mismatch %v vs %v", d, n, kMax, errW, errG)
-				}
-				if errW != nil {
-					continue
+				if errW != nil || errG != nil {
+					t.Fatalf("d=%d n=%d kMax=%d: %v / %v", d, n, kMax, errW, errG)
 				}
 				if got.K != want.K {
 					t.Errorf("d=%d n=%d kMax=%d: analytic K=%d, trial K=%d", d, n, kMax, got.K, want.K)
 				}
-				// The shared-levels grid must classify points identically.
-				for _, h := range pts {
-					if got.CellOf(h) != want.CellOf(h) {
-						t.Fatalf("d=%d n=%d: CellOf mismatch on shared-levels grid", d, n)
+				// The grid sharing the deeper grid's split tables must
+				// classify points identically.
+				for i := 0; i < len(pts); i += d {
+					if h := pts[i : i+d]; got.CellOf(h) != want.CellOf(h) {
+						t.Fatalf("d=%d n=%d: CellOf mismatch on shared-table grid", d, n)
 					}
 				}
 			}
@@ -274,12 +267,35 @@ func TestMaxFeasibleKDAnalyticMatchesTrial(t *testing.T) {
 	}
 }
 
+// TestMaxFeasibleKDAnalyticErrors: an invalid dimension or scale fails both
+// searches, while any depth ceiling is honoured — one beyond the deepest
+// grid n points can fill returns the default ceiling's answer.
 func TestMaxFeasibleKDAnalyticErrors(t *testing.T) {
 	if _, err := MaxFeasibleKDAnalytic(1, nil, 1, 5, 1); err == nil {
 		t.Error("dimension 1 accepted")
 	}
-	if _, err := MaxFeasibleKDAnalytic(3, nil, 1, 40, 1); err == nil {
-		t.Error("kMax 40 accepted (trial loop would fail to materialize)")
+	if _, err := MaxFeasibleKD(1, nil, 1, 5); err == nil {
+		t.Error("dimension 1 accepted by the oracle")
+	}
+	if _, err := MaxFeasibleKDAnalytic(3, nil, math.Inf(1), 5, 1); err == nil {
+		t.Error("infinite scale accepted")
+	}
+	for _, d := range []int{3, 4} {
+		pts := flatD(rng.New(uint64(d)).UniformBallDN(2000, d, 1))
+		want, err := MaxFeasibleKDAnalytic(d, pts, 1, DefaultKMax(2000), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kMax := range []int{29, 40, 1000} {
+			got, err := MaxFeasibleKDAnalytic(d, pts, 1, kMax, 2)
+			if err != nil || got.K != want.K {
+				t.Errorf("d=%d kMax=%d: %v, err %v; want K=%d", d, kMax, got, err, want.K)
+			}
+			trial, err := MaxFeasibleKD(d, pts, 1, kMax)
+			if err != nil || trial.K != want.K {
+				t.Errorf("d=%d kMax=%d: oracle %v, err %v; want K=%d", d, kMax, trial, err, want.K)
+			}
+		}
 	}
 }
 
@@ -294,46 +310,26 @@ func TestAnalyticOutOfDiskPoints(t *testing.T) {
 	}
 }
 
-// designedCells3 places one point at the center of every interior cell of a
-// depth-k sphere grid, so the analytic cap underestimates the feasible depth.
-func designedCells3(k int) []geom.Spherical {
-	g := SphereGrid3{K: k, Scale: 1}
-	var pts []geom.Spherical
-	for shell := 1; shell < k; shell++ {
-		for j := 0; j < CellsInRing(shell); j++ {
-			c := g.Cell(shell, j)
-			pts = append(pts, geom.Spherical{
-				R:     (c.RMin + c.RMax) / 2,
-				Theta: (c.ThetaMin + c.ThetaMax) / 2,
-				U:     (c.UMin + c.UMax) / 2,
-			})
-		}
-	}
-	return append(pts, geom.Spherical{R: 1, U: 1}) // pin the scale
-}
-
-// designedCellsD is designedCells3 for the d-dimensional grid.
-func designedCellsD(t *testing.T, d, k int) []geom.Hyperspherical {
+// designedCellsD places one point at the center of every interior cell of
+// a depth-k d-dimensional grid (flat coordinates), so the analytic cap
+// underestimates the feasible depth.
+func designedCellsD(t *testing.T, d, k int) []float64 {
 	g, err := NewGridD(d, k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pts []geom.Hyperspherical
+	var pts []float64
 	for shell := 1; shell < k; shell++ {
 		for j := 0; j < CellsInRing(shell); j++ {
 			c := g.Cell(shell, j)
-			h := geom.Hyperspherical{
-				R:     (c.RMin + c.RMax) / 2,
-				Theta: (c.ThetaMin + c.ThetaMax) / 2,
-				Phi:   make([]float64, d-2),
+			for a := 0; a < d; a++ {
+				pts = append(pts, (c.Lo(a)+c.Hi(a))/2)
 			}
-			for m := range h.Phi {
-				h.Phi[m] = (c.PhiMin[m] + c.PhiMax[m]) / 2
-			}
-			pts = append(pts, h)
 		}
 	}
-	return append(pts, geom.Hyperspherical{R: 1, Phi: make([]float64, d-2)})
+	pin := make([]float64, d) // pin the scale
+	pin[geom.AxisR] = 1
+	return append(pts, pin...)
 }
 
 // TestParallelKSearchMatchesTrial: splitting the analytic classification
@@ -371,52 +367,25 @@ func TestParallelKSearchMatchesTrial(t *testing.T) {
 		}
 	}
 
-	sph := map[string][]geom.Spherical{"designed-escalation": designedCells3(9)}
-	for _, n := range []int{1, 3, 7, 3000} {
-		pts := make([]geom.Spherical, n)
-		for i := range pts {
-			pts[i] = r.UniformBall3(1).SphericalAround(geom.Point3{})
-			if i%5 == 0 {
-				pts[i].Theta = below2Pi
-			}
-		}
-		pts[0].R = 1 // pin the scale
-		sph[fmt.Sprintf("uniform-%d", n)] = pts
-	}
-	var shells []geom.Spherical
-	g3 := SphereGrid3{K: 6, Scale: 1}
-	for s := 0; s <= 6; s++ {
-		for j := 0; j < 16; j++ {
-			shells = append(shells, geom.Spherical{R: g3.SphereRadius(s), Theta: geom.TwoPi * float64(j) / 16, U: float64(j)/8 - 1})
-		}
-	}
-	sph["shell-boundaries"] = shells
-	for name, pts := range sph {
-		for _, kMax := range []int{3, 12} {
-			want := MaxFeasibleK3(pts, 1, kMax)
-			if name == "designed-escalation" && kMax == 12 && analyticCap(len(pts), kMax) >= want {
-				t.Fatalf("3d designed set reaches k=%d, inside the cap: escalation untested", want)
-			}
-			for w := 1; w <= 8; w++ {
-				if got := MaxFeasibleK3Analytic(pts, 1, kMax, w); got != want {
-					t.Errorf("3d %s kMax=%d workers=%d: %d, trial %d", name, kMax, w, got, want)
-				}
-			}
-		}
-	}
-
 	for _, d := range []int{3, 4} {
-		hs := map[string][]geom.Hyperspherical{"designed-escalation": designedCellsD(t, d, 9)}
-		for _, n := range []int{2, 5, 2500} {
-			pts := make([]geom.Hyperspherical, n)
-			for i := range pts {
-				pts[i] = r.UniformBallD(d, 1).ToHyperspherical()
-				if i%5 == 0 {
-					pts[i].Theta = below2Pi
+		hs := map[string][]float64{"designed-escalation": designedCellsD(t, d, 9)}
+		for _, n := range []int{1, 2, 3, 5, 7, 2500} {
+			pts := flatD(r.UniformBallDN(n, d, 1))
+			for i := 0; i < n; i += 5 {
+				pts[i*d+geom.AxisTheta] = below2Pi
+			}
+			pts[geom.AxisR] = 1 // pin the scale
+			hs[fmt.Sprintf("uniform-%d", n)] = pts
+		}
+		if d == 3 {
+			var shells []float64
+			g3 := sphereGrid(t, 6, 1)
+			for s := 0; s <= 6; s++ {
+				for j := 0; j < 16; j++ {
+					shells = append(shells, g3.SphereRadius(s), geom.TwoPi*float64(j)/16, float64(j)/8-1)
 				}
 			}
-			pts[0].R = 1
-			hs[fmt.Sprintf("uniform-%d", n)] = pts
+			hs["shell-boundaries"] = shells
 		}
 		for name, pts := range hs {
 			for _, kMax := range []int{3, 12} {
@@ -424,7 +393,7 @@ func TestParallelKSearchMatchesTrial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if name == "designed-escalation" && kMax == 12 && analyticCap(len(pts), kMax) >= want.K {
+				if name == "designed-escalation" && kMax == 12 && analyticCap(len(pts)/d, kMax) >= want.K {
 					t.Fatalf("d=%d designed set reaches k=%d, inside the cap: escalation untested", d, want.K)
 				}
 				for w := 1; w <= 8; w++ {

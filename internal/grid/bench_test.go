@@ -51,16 +51,19 @@ func BenchmarkBuildGridAnalytic(b *testing.B) {
 
 func BenchmarkCellOf3D(b *testing.B) {
 	r := rng.New(3)
-	sph := make([]geom.Spherical, 100000)
-	for i := range sph {
-		sph[i] = r.UniformBall3(1).ToSpherical()
+	coords := make([]float64, 0, 3*100000)
+	for range 100000 {
+		coords = append(coords, r.UniformBall3(1).Vec().ToHyperspherical()...)
 	}
-	g := SphereGrid3{K: 12, Scale: 1}
+	g, err := NewGridD(3, 12, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink int
-		for _, c := range sph {
-			sink += g.CellOf(c)
+		for j := 0; j < len(coords); j += 3 {
+			sink += g.CellOf(coords[j : j+3])
 		}
 		_ = sink
 	}

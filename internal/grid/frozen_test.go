@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"testing"
 
 	"omtree/internal/geom"
 	"omtree/internal/rng"
@@ -27,22 +26,8 @@ func idsSum(ids []int) string {
 
 // frozenSphereCells holds, per depth k, the fingerprint of the cell ids the
 // dedicated 3-D sphere grid assigned to frozenBallPoints before it was
-// folded into GridD.
+// folded into GridD; TestGridD3MatchesSphereGrid3 holds GridD(3) to them.
 var frozenSphereCells = map[int]string{
 	5:  "4713d7c3ab972b49",
 	12: "4c214bbbe127d4f7",
-}
-
-func TestFrozenSphereGrid3Cells(t *testing.T) {
-	pts := frozenBallPoints()
-	for _, k := range []int{5, 12} {
-		g := SphereGrid3{K: k, Scale: 1}
-		ids := make([]int, len(pts))
-		for i, p := range pts {
-			ids[i] = g.CellOf(p.ToSpherical())
-		}
-		if got := idsSum(ids); got != frozenSphereCells[k] {
-			t.Errorf("k=%d: got %q, want %q", k, got, frozenSphereCells[k])
-		}
-	}
 }

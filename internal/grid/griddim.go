@@ -7,91 +7,92 @@ import (
 	"omtree/internal/geom"
 )
 
-// GridD is the general d-dimensional grid of §IV-B over a ball of radius
-// Scale: dividing spheres at radii Scale * 2^((i-K)/d) (each shell holds
-// twice the volume of the previous one) and angular cells formed by
-// repeatedly splitting the full angular space in equal-measure halves,
-// cycling through the d-1 angular axes (azimuth first, then each polar
-// angle). Polar-angle splits land at equal-measure points of the sin^p
-// weight, computed once per cell at construction; point assignment then
-// costs O(K) comparisons.
+// maxGridK is the deepest grid whose global cell ids (2^(K+1) - 1 of them)
+// fit an int.
+const maxGridK = 62
+
+// stackAxes bounds the polar axes whose per-call walk state lives in a
+// fixed-size array; higher dimensions fall back to the heap.
+const stackAxes = 8
+
+// GridD is the d-dimensional grid of §IV-B over a ball of radius Scale:
+// dividing spheres at radii Scale * 2^((i-K)/d) produce shells 0..K (shell
+// 0 the inner ball), each holding twice the volume of the one inside it,
+// and shell i is cut into 2^i cells by splitting the full angular space i
+// times into equal-measure halves, cycling through the d-1 angular axes:
+// Theta first, then U (the cosine of the first polar angle), then each
+// further polar angle Phi[m]. Theta and U splits are midpoints, since the
+// surface measure is uniform in both, and are computed while walking; the
+// Phi[m] splits land at equal-measure points of the sin^(m+1) weight and
+// are tabulated once per grid. A cell is named by its split path, so no
+// per-cell state is stored: point assignment and Cell both walk O(K)
+// split levels.
+//
+// Index bits follow the polar angle on every polar axis: bit 1 selects the
+// upper Theta half, the lower U half (the larger polar angle) and the upper
+// Phi[m] half. At d = 2 the grid is the polar grid with midpoint angle
+// splits; at d = 3 it is the sphere grid of Figure 8's experiment,
+// splitting Theta and U alternately.
 type GridD struct {
 	D, K  int
 	Scale float64
 
-	levels []levelD
+	radii []float64 // radii[i] = Scale * 2^((i-K)/D), the dividing spheres
+
+	// phi[m] tabulates the splits of polar axis Phi[m], m >= 1, as an
+	// implicit binary tree: node 0 splits [0, pi], and node t's low and high
+	// halves are split by nodes 2t+1 and 2t+2. phi[0] is unused.
+	phi [][]float64
 }
 
-// levelD holds the angular boxes at one subdivision level and the split
-// values taking them to the next level.
-type levelD struct {
-	axis   int       // angular axis split to produce the next level
-	splits []float64 // split value per box; len 2^level (empty at level K)
-	boxes  []angBox  // box per cell; len 2^level
-}
-
-// angBox is the angular part of a cell: intervals per angular axis, axis 0
-// being theta and axis m+1 being Phi[m].
-type angBox struct {
-	lo, hi []float64
-}
-
-func (b angBox) clone() angBox {
-	return angBox{
-		lo: append([]float64(nil), b.lo...),
-		hi: append([]float64(nil), b.hi...),
-	}
-}
-
-// axisOf returns the angular axis used to split level l into level l+1,
-// cycling through the axes.
-func axisOf(l, d int) int { return l % (d - 1) }
-
-// NewGridD builds the grid, precomputing all angular boxes and split values
-// for levels 0..K. Cost is O(2^K) split computations.
+// NewGridD validates the parameters and builds the grid, tabulating the
+// Phi[m] split points (fewer than 2^(K/(d-1)+1) per axis).
 func NewGridD(d, k int, scale float64) (*GridD, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("grid: GridD needs dimension >= 2, got %d", d)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("grid: GridD needs k >= 1, got %d", k)
+	if k < 1 || k > maxGridK {
+		return nil, fmt.Errorf("grid: GridD needs k in [1, %d], got %d", maxGridK, k)
 	}
-	if k > 28 {
-		return nil, fmt.Errorf("grid: GridD k = %d too deep to materialize", k)
-	}
-	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) {
+	if !(scale > 0) || math.IsInf(scale, 0) {
 		return nil, fmt.Errorf("grid: GridD needs positive finite scale, got %v", scale)
 	}
-	g := &GridD{D: d, K: k, Scale: scale, levels: make([]levelD, k+1)}
-
-	full := angBox{lo: make([]float64, d-1), hi: make([]float64, d-1)}
-	full.hi[0] = geom.TwoPi
-	for m := 1; m < d-1; m++ {
-		full.hi[m] = math.Pi
+	g := &GridD{D: d, K: k, Scale: scale, radii: sphereRadii(d, k, scale)}
+	if d > 3 {
+		g.phi = make([][]float64, d-2)
 	}
-	g.levels[0] = levelD{boxes: []angBox{full}}
-
-	for l := 0; l < k; l++ {
-		axis := axisOf(l, d)
-		cur := &g.levels[l]
-		cur.axis = axis
-		cur.splits = make([]float64, len(cur.boxes))
-		next := levelD{boxes: make([]angBox, 0, 2*len(cur.boxes))}
-		for j, box := range cur.boxes {
-			var split float64
-			if axis == 0 {
-				split = (box.lo[0] + box.hi[0]) / 2
-			} else {
-				split = geom.SinPowerSplit(axis, box.lo[axis], box.hi[axis])
-			}
-			cur.splits[j] = split
-			lo, hi := box.clone(), box.clone()
-			lo.hi[axis], hi.lo[axis] = split, split
-			next.boxes = append(next.boxes, lo, hi)
+	for m := 1; m <= d-3; m++ {
+		// Axis Phi[m] is angular axis m+1, split at levels m+1, m+d, ...
+		var splits int
+		for l := m + 1; l < k; l += d - 1 {
+			splits++
 		}
-		g.levels[l+1] = next
+		nodes := 1<<uint(splits) - 1
+		tab := make([]float64, nodes)
+		lo, hi := make([]float64, nodes), make([]float64, nodes)
+		if nodes > 0 {
+			hi[0] = math.Pi
+		}
+		for t := range tab {
+			s := geom.SinPowerSplit(m+1, lo[t], hi[t])
+			tab[t] = s
+			if c := 2*t + 1; c < nodes {
+				lo[c], hi[c] = lo[t], s
+				lo[c+1], hi[c+1] = s, hi[t]
+			}
+		}
+		g.phi[m] = tab
 	}
 	return g, nil
+}
+
+// sphereRadii returns the K+1 dividing-sphere radii of a depth-k grid.
+func sphereRadii(d, k int, scale float64) []float64 {
+	radii := make([]float64, k+1)
+	for i := range radii {
+		radii[i] = scale * math.Exp2(float64(i-k)/float64(d))
+	}
+	return radii
 }
 
 // NumRings returns the number of shells, K+1.
@@ -105,7 +106,7 @@ func (g *GridD) SphereRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: sphere index %d out of [0, %d]", i, g.K))
 	}
-	return g.Scale * math.Exp2(float64(i-g.K)/float64(g.D))
+	return g.radii[i]
 }
 
 // ShellOf returns the shell containing radius r, clamped to [0, K].
@@ -123,85 +124,201 @@ func (g *GridD) ShellOf(r float64) int {
 	if i > g.K {
 		i = g.K
 	}
-	for i > 0 && r <= g.SphereRadius(i-1) {
+	for i > 0 && r <= g.radii[i-1] {
 		i--
 	}
-	for i < g.K && r > g.SphereRadius(i) {
+	for i < g.K && r > g.radii[i] {
 		i++
 	}
 	return i
 }
 
-// angularValue extracts the coordinate of h along an angular axis.
-func angularValue(h geom.Hyperspherical, axis int) float64 {
-	if axis == 0 {
-		return h.Theta
+// walkState returns per-call storage for the Phi[m] tree positions of a
+// walk, on the caller's stack when the dimension allows.
+func (g *GridD) walkState(buf *[stackAxes]int) []int {
+	if g.D-2 <= stackAxes {
+		return buf[:]
 	}
-	return h.Phi[axis-1]
+	return make([]int, g.D-2)
 }
 
 // SegIndexOf returns the angular cell index of h within the given shell by
-// walking the precomputed split values.
+// walking the shell's split levels.
 func (g *GridD) SegIndexOf(shell int, h geom.Hyperspherical) int {
-	j := 0
+	if g.D > 3 {
+		return g.segIndexPhi(shell, h)
+	}
+	// d <= 3: Theta alone, or Theta and U alternately, with the running
+	// intervals in registers.
+	theta, tLo, tHi := h[geom.AxisTheta], 0.0, geom.TwoPi
+	var u float64
+	if g.D == 3 {
+		u = h[geom.AxisU]
+	}
+	uLo, uHi := -1.0, 1.0
+	j, onU := 0, false
 	for l := 0; l < shell; l++ {
-		lv := &g.levels[l]
-		if angularValue(h, lv.axis) >= lv.splits[j] {
-			j = 2*j + 1
+		j *= 2
+		if onU {
+			if mid := (uLo + uHi) / 2; u < mid {
+				j++
+				uHi = mid
+			} else {
+				uLo = mid
+			}
 		} else {
-			j = 2 * j
+			if mid := (tLo + tHi) / 2; theta >= mid {
+				j++
+				tLo = mid
+			} else {
+				tHi = mid
+			}
+		}
+		onU = g.D == 3 && !onU
+	}
+	return j
+}
+
+// segIndexPhi is SegIndexOf for d > 3, where the walk also descends the
+// Phi[m] split tables.
+func (g *GridD) segIndexPhi(shell int, h geom.Hyperspherical) int {
+	tLo, tHi := 0.0, geom.TwoPi
+	uLo, uHi := -1.0, 1.0
+	var buf [stackAxes]int
+	node := g.walkState(&buf)
+	j, b := 0, 0
+	for l := 0; l < shell; l++ {
+		var up bool
+		switch b {
+		case 0:
+			mid := (tLo + tHi) / 2
+			if up = h[geom.AxisTheta] >= mid; up {
+				tLo = mid
+			} else {
+				tHi = mid
+			}
+		case 1:
+			mid := (uLo + uHi) / 2
+			if up = h[geom.AxisU] < mid; up {
+				uHi = mid
+			} else {
+				uLo = mid
+			}
+		default:
+			m := b - 1
+			t := node[m]
+			if up = h[m+2] >= g.phi[m][t]; up {
+				node[m] = 2*t + 2
+			} else {
+				node[m] = 2*t + 1
+			}
+		}
+		j *= 2
+		if up {
+			j++
+		}
+		if b++; b == g.D-1 {
+			b = 0
 		}
 	}
 	return j
 }
 
-// CellOf returns the global cell id containing the hyperspherical point h.
-// h must have dimension D.
+// CellOf returns the global cell id containing the point h, which must have
+// dimension D.
 func (g *GridD) CellOf(h geom.Hyperspherical) int {
-	if len(h.Phi)+2 != g.D {
-		panic(fmt.Sprintf("grid: point dimension %d != grid dimension %d", len(h.Phi)+2, g.D))
+	if len(h) != g.D {
+		panic(fmt.Sprintf("grid: point dimension %d != grid dimension %d", len(h), g.D))
 	}
-	shell := g.ShellOf(h.R)
+	shell := g.ShellOf(h[geom.AxisR])
 	return CellID(shell, g.SegIndexOf(shell, h))
 }
 
-// Cell returns the geometric bounds of cell (shell, idx).
-func (g *GridD) Cell(shell, idx int) geom.CellD {
+// CellInto writes the bounds of cell (shell, idx) into dst, which must have
+// dimension D, recovering the split path from the index bits, most
+// significant first.
+func (g *GridD) CellInto(dst geom.CellD, shell, idx int) {
 	if shell < 0 || shell > g.K {
 		panic(fmt.Sprintf("grid: shell %d out of [0, %d]", shell, g.K))
 	}
-	m := CellsInRing(shell)
-	if idx < 0 || idx >= m {
+	if m := CellsInRing(shell); idx < 0 || idx >= m {
 		panic(fmt.Sprintf("grid: cell index %d out of [0, %d)", idx, m))
 	}
-	box := g.levels[shell].boxes[idx]
-	cell := geom.CellD{
-		RMax:     g.SphereRadius(shell),
-		ThetaMin: box.lo[0], ThetaMax: box.hi[0],
-		PhiMin: append([]float64(nil), box.lo[1:]...),
-		PhiMax: append([]float64(nil), box.hi[1:]...),
-	}
+	const r, t, u = 2 * geom.AxisR, 2 * geom.AxisTheta, 2 * geom.AxisU
+	dst[r], dst[r+1] = 0, g.radii[shell]
 	if shell > 0 {
-		cell.RMin = g.SphereRadius(shell - 1)
+		dst[r] = g.radii[shell-1]
 	}
-	return cell
+	dst[t], dst[t+1] = 0, geom.TwoPi
+	if g.D > 2 {
+		dst[u], dst[u+1] = -1, 1
+	}
+	for a := 3; a < g.D; a++ {
+		dst[2*a], dst[2*a+1] = 0, math.Pi
+	}
+	var buf [stackAxes]int
+	node := g.walkState(&buf)
+	b := 0
+	for l := 0; l < shell; l++ {
+		up := idx>>uint(shell-1-l)&1 != 0
+		switch b {
+		case 0:
+			mid := (dst[t] + dst[t+1]) / 2
+			if up {
+				dst[t] = mid
+			} else {
+				dst[t+1] = mid
+			}
+		case 1:
+			mid := (dst[u] + dst[u+1]) / 2
+			if up {
+				dst[u+1] = mid
+			} else {
+				dst[u] = mid
+			}
+		default:
+			m := b - 1
+			tn := node[m]
+			if s := g.phi[m][tn]; up {
+				dst[2*m+4], node[m] = s, 2*tn+2
+			} else {
+				dst[2*m+5], node[m] = s, 2*tn+1
+			}
+		}
+		if b++; b == g.D-1 {
+			b = 0
+		}
+	}
 }
 
-// MaxArc returns the largest angular detour across any cell of the given
-// shell: R_shell * max over cells of the summed angular widths. This is the
-// d-dimensional Delta_i.
+// Cell returns the bounds of cell (shell, idx) in newly allocated storage.
+func (g *GridD) Cell(shell, idx int) geom.CellD {
+	c := make(geom.CellD, 2*g.D)
+	g.CellInto(c, shell, idx)
+	return c
+}
+
+// MaxArc returns Delta_i, the angular detour charged per core hop in shell
+// i: R_i times the angular extent (geom.CellD.MaxAngle) of the shell's
+// widest cell. With polar axes (d >= 3) that is cell 0, the polar cap:
+// the Theta intervals of a shell all have the same width, and polar
+// intervals widen toward the poles. A 2-D grid has no cap; it takes the
+// widest segment as floating-point midpoints round it.
 func (g *GridD) MaxArc(shell int) float64 {
-	var maxAngle float64
-	for _, box := range g.levels[shell].boxes {
-		var a float64
-		for m := range box.lo {
-			a += box.hi[m] - box.lo[m]
-		}
-		if a > maxAngle {
-			maxAngle = a
-		}
+	if g.D == 2 {
+		return g.SphereRadius(shell) * widestHalving(0, geom.TwoPi, shell)
 	}
-	return g.SphereRadius(shell) * maxAngle
+	return g.SphereRadius(shell) * g.Cell(shell, 0).MaxAngle()
+}
+
+// widestHalving returns the largest width among the 2^t intervals that t
+// rounds of midpoint halving cut [lo, hi] into.
+func widestHalving(lo, hi float64, t int) float64 {
+	if t == 0 {
+		return hi - lo
+	}
+	mid := (lo + hi) / 2
+	return max(widestHalving(lo, mid, t-1), widestHalving(mid, hi, t-1))
 }
 
 // InnerArcSum returns the d-dimensional S_k: summed angular detours of
@@ -220,26 +337,31 @@ func (g *GridD) UpperBound(arcCoeff float64) float64 {
 	return g.Scale + arcCoeff*g.MaxArc(0) + g.InnerArcSum()
 }
 
-// Assign maps every hyperspherical point to its global cell id.
-func (g *GridD) Assign(hs []geom.Hyperspherical) []int32 {
-	ids := make([]int32, len(hs))
-	for i, h := range hs {
-		ids[i] = int32(g.CellOf(h))
+// Assign maps every point of coords — flat Hyperspherical coordinates,
+// point i at [i*D, (i+1)*D) — to its global cell id.
+func (g *GridD) Assign(coords []float64) []int32 {
+	ids := make([]int32, len(coords)/g.D)
+	for i := range ids {
+		ids[i] = int32(g.CellOf(coords[i*g.D : (i+1)*g.D]))
 	}
 	return ids
 }
 
 // InteriorOccupied reports whether every cell of shells 1..K-1 holds at
-// least one point.
-func (g *GridD) InteriorOccupied(hs []geom.Hyperspherical) bool {
+// least one point of coords (flat, as in Assign).
+func (g *GridD) InteriorOccupied(coords []float64) bool {
 	if g.K == 1 {
 		return true
 	}
 	lo, hi := 1, 1<<uint(g.K)-1
-	seen := make([]bool, hi-lo)
 	need := hi - lo
-	for _, h := range hs {
-		shell := g.ShellOf(h.R)
+	if len(coords)/g.D < need {
+		return false // fewer points than interior cells
+	}
+	seen := make([]bool, need)
+	for i := 0; i+g.D <= len(coords); i += g.D {
+		h := coords[i : i+g.D]
+		shell := g.ShellOf(h[geom.AxisR])
 		if shell == 0 || shell == g.K {
 			continue
 		}
@@ -255,22 +377,30 @@ func (g *GridD) InteriorOccupied(hs []geom.Hyperspherical) bool {
 	return need == 0
 }
 
+// feasibleKMax clamps a depth ceiling to [1, DefaultKMax(n)]: deeper grids
+// have more interior cells than n points can occupy, so the clamp never
+// changes a search's answer, and any kMax >= 1 is honoured.
+func feasibleKMax(kMax, n int) int {
+	return max(1, min(kMax, DefaultKMax(n)))
+}
+
 // MaxFeasibleKD returns the largest k in [1, kMax] whose d-dimensional grid
-// has all interior cells occupied, scanning downward, along with the grid
-// itself (grids are expensive to rebuild in high dimension): the reference
-// oracle for MaxFeasibleKDAnalytic, which the builds use.
-func MaxFeasibleKD(d int, hs []geom.Hyperspherical, scale float64, kMax int) (*GridD, error) {
-	if kMax < 1 {
-		kMax = 1
+// over coords (flat, as in Assign) has all interior cells occupied,
+// scanning downward, along with the grid itself: the reference oracle for
+// MaxFeasibleKDAnalytic, which the builds use.
+func MaxFeasibleKD(d int, coords []float64, scale float64, kMax int) (*GridD, error) {
+	one, err := NewGridD(d, 1, scale)
+	if err != nil {
+		return nil, err
 	}
-	for k := kMax; k >= 1; k-- {
+	for k := feasibleKMax(kMax, len(coords)/d); k > 1; k-- {
 		g, err := NewGridD(d, k, scale)
 		if err != nil {
 			return nil, err
 		}
-		if k == 1 || g.InteriorOccupied(hs) {
+		if g.InteriorOccupied(coords) {
 			return g, nil
 		}
 	}
-	return NewGridD(d, 1, scale)
+	return one, nil
 }

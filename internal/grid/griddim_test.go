@@ -8,6 +8,35 @@ import (
 	"omtree/internal/rng"
 )
 
+// flatD converts points to flat hyperspherical coordinates around the
+// origin.
+func flatD(pts []geom.Vec) []float64 {
+	var out []float64
+	for _, p := range pts {
+		out = append(out, p.ToHyperspherical()...)
+	}
+	return out
+}
+
+// flat3 is flatD for 3-D points.
+func flat3(pts []geom.Point3) []float64 {
+	var out []float64
+	for _, p := range pts {
+		out = append(out, p.Vec().ToHyperspherical()...)
+	}
+	return out
+}
+
+// sphereGrid is the 3-D grid of depth k over a ball of the given radius.
+func sphereGrid(t testing.TB, k int, scale float64) *GridD {
+	t.Helper()
+	g, err := NewGridD(3, k, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestNewGridDValidation(t *testing.T) {
 	if _, err := NewGridD(1, 3, 1); err == nil {
 		t.Error("accepted d=1")
@@ -43,8 +72,9 @@ func TestGridDRadiiVolumeDoubling(t *testing.T) {
 }
 
 func TestGridDCellEqualMeasure(t *testing.T) {
-	// Every cell of a shell must carry equal surface measure:
-	// (theta width) * prod_m (I_{m+1}(phiMax) - I_{m+1}(phiMin)).
+	// Every cell of a shell must carry equal surface measure: the Theta
+	// width times the U width times prod_m (I_{m+1}(Phi max) - I_{m+1}(Phi
+	// min)).
 	for _, d := range []int{3, 4, 5} {
 		g, err := NewGridD(d, 5, 1)
 		if err != nil {
@@ -54,10 +84,9 @@ func TestGridDCellEqualMeasure(t *testing.T) {
 			m := CellsInRing(shell)
 			measure := func(idx int) float64 {
 				c := g.Cell(shell, idx)
-				area := c.ThetaMax - c.ThetaMin
-				for j := range c.PhiMin {
-					area *= geom.SinPowerIntegral(j+1, c.PhiMax[j]) -
-						geom.SinPowerIntegral(j+1, c.PhiMin[j])
+				area := (c.Hi(geom.AxisTheta) - c.Lo(geom.AxisTheta)) * (c.Hi(geom.AxisU) - c.Lo(geom.AxisU))
+				for a := 3; a < d; a++ {
+					area *= geom.SinPowerIntegral(a-1, c.Hi(a)) - geom.SinPowerIntegral(a-1, c.Lo(a))
 				}
 				return area
 			}
@@ -73,8 +102,8 @@ func TestGridDCellEqualMeasure(t *testing.T) {
 
 func TestGridDCellOfMatchesCell(t *testing.T) {
 	r := rng.New(31)
-	for _, d := range []int{2, 3, 4} {
-		g, err := NewGridD(d, 5, 1)
+	for _, d := range []int{2, 3, 4, 5} {
+		g, err := NewGridD(d, 7, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,37 +111,25 @@ func TestGridDCellOfMatchesCell(t *testing.T) {
 			h := r.UniformBallD(d, 1).ToHyperspherical()
 			id := g.CellOf(h)
 			shell, idx := RingIdx(id)
-			cell := g.Cell(shell, idx)
-			const eps = 1e-9
-			if h.R < cell.RMin-eps || h.R > cell.RMax+eps ||
-				h.Theta < cell.ThetaMin-eps || h.Theta > cell.ThetaMax+eps {
-				t.Fatalf("d=%d: point %+v misassigned to %+v", d, h, cell)
-			}
-			for m := range cell.PhiMin {
-				if h.Phi[m] < cell.PhiMin[m]-eps || h.Phi[m] > cell.PhiMax[m]+eps {
-					t.Fatalf("d=%d: phi[%d] outside cell", d, m)
-				}
+			if cell := g.Cell(shell, idx); !cell.Contains(h) {
+				t.Fatalf("d=%d: point %v misassigned to %+v", d, h, cell)
 			}
 		}
 	}
 }
 
+// TestGridD3MatchesSphereGrid3: the 3-D grid assigns the frozen
+// fingerprint's cell ids — those of the dedicated sphere grid it replaced —
+// to 100k ball points, at depths 5 and 12.
 func TestGridD3MatchesSphereGrid3(t *testing.T) {
-	// In 3-D, the GridD construction (phi split with sin weight) must agree
-	// with SphereGrid3 (u midpoint split): same cell partition, because
-	// 1 - cos(phi) halves exactly when u = cos(phi) halves.
-	gd, err := NewGridD(3, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := SphereGrid3{K: 5, Scale: 1}
-	r := rng.New(17)
-	for trial := 0; trial < 1000; trial++ {
-		p := r.UniformBall3(1)
-		idD := gd.CellOf(p.Vec().ToHyperspherical())
-		idS := gs.CellOf(p.ToSpherical())
-		if idD != idS {
-			t.Fatalf("cell mismatch for %v: GridD %d, SphereGrid3 %d", p, idD, idS)
+	coords := flat3(frozenBallPoints())
+	for _, k := range []int{5, 12} {
+		ids := make([]int, len(coords)/3)
+		for i, id := range sphereGrid(t, k, 1).Assign(coords) {
+			ids[i] = int(id)
+		}
+		if got := idsSum(ids); got != frozenSphereCells[k] {
+			t.Errorf("k=%d: got %q, want %q", k, got, frozenSphereCells[k])
 		}
 	}
 }
@@ -151,10 +168,7 @@ func TestGridDInteriorOccupiedAndMaxK(t *testing.T) {
 	r := rng.New(41)
 	d := 4
 	pts := r.UniformBallDN(3000, d, 1)
-	hs := make([]geom.Hyperspherical, len(pts))
-	for i, p := range pts {
-		hs[i] = p.ToHyperspherical()
-	}
+	hs := flatD(pts)
 	g, err := MaxFeasibleKD(d, hs, 1, DefaultKMax(len(pts)))
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +185,17 @@ func TestGridDInteriorOccupiedAndMaxK(t *testing.T) {
 	}
 	if bigger.InteriorOccupied(hs) {
 		t.Error("k+1 feasible; MaxFeasibleKD not maximal")
+	}
+	// Any ceiling is honoured: one past every feasible depth changes
+	// nothing, and a grid with more interior cells than points is rejected
+	// without materializing its occupancy table.
+	for _, kMax := range []int{40, maxGridK, 1000} {
+		if deep, err := MaxFeasibleKD(d, hs, 1, kMax); err != nil || deep.K != g.K {
+			t.Errorf("kMax=%d: K=%v err=%v, want K=%d", kMax, deep, err, g.K)
+		}
+	}
+	if huge, err := NewGridD(d, 40, 1); err != nil || huge.InteriorOccupied(hs) {
+		t.Errorf("k=40 grid: err=%v, or occupied by 3000 points", err)
 	}
 }
 
@@ -189,15 +214,8 @@ func TestGridDUpperBoundTightens(t *testing.T) {
 }
 
 func TestGridDAssign(t *testing.T) {
-	g, err := NewGridD(3, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := []geom.Hyperspherical{
-		geom.Vec{0.001, 0, 0}.ToHyperspherical(),
-		geom.Vec{0, 0.97, 0}.ToHyperspherical(),
-	}
-	ids := g.Assign(hs)
+	g := sphereGrid(t, 3, 1)
+	ids := g.Assign(flatD([]geom.Vec{{0.001, 0, 0}, {0, 0.97, 0}}))
 	if ids[0] != 0 {
 		t.Errorf("center cell = %d", ids[0])
 	}

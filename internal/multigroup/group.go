@@ -2,6 +2,7 @@ package multigroup
 
 import (
 	"fmt"
+	"math"
 
 	"omtree/internal/core"
 	"omtree/internal/geom"
@@ -36,9 +37,8 @@ type GroupTree struct {
 
 	// 2-D: persistent incremental state borrowing the source's shared view.
 	bs *core.BuildState
-	// 3-D/d-D: one-shot build inputs, reassembled per Build.
-	src3 geom.Point3
-	srcD geom.Vec
+	// d >= 3: the source for one-shot builds over the substrate's axes.
+	src  []float64
 	opts []core.Option
 }
 
@@ -63,18 +63,15 @@ func (s *Substrate) NewGroup(cfg GroupConfig) (*GroupTree, error) {
 	if cfg.KMax != 0 {
 		g.opts = append(g.opts, core.WithKMax(cfg.KMax))
 	}
-	switch s.dim {
-	case 2:
+	if s.dim == 2 {
 		src := geom.Point2{X: cfg.Source[0], Y: cfg.Source[1]}
 		bs, err := core.NewBuildStateShared(s.view(src), g.opts...)
 		if err != nil {
 			return nil, err
 		}
 		g.bs = bs
-	case 3:
-		g.src3 = geom.Point3{X: cfg.Source[0], Y: cfg.Source[1], Z: cfg.Source[2]}
-	default:
-		g.srcD = append(geom.Vec(nil), cfg.Source...)
+	} else {
+		g.src = append([]float64(nil), cfg.Source...)
 	}
 	return g, nil
 }
@@ -137,25 +134,10 @@ func (g *GroupTree) Build() (*core.Result, bool, error) {
 	var res *core.Result
 	full := true
 	var err error
-	switch g.sub.dim {
-	case 2:
+	if g.bs != nil {
 		res, full, err = g.bs.Rebuild()
-	case 3:
-		recv := make([]geom.Point3, 0, g.members.count())
-		g.members.forEach(func(h int) {
-			recv = append(recv, geom.Point3{X: g.sub.axes[0][h], Y: g.sub.axes[1][h], Z: g.sub.axes[2][h]})
-		})
-		res, err = core.Build3(g.src3, recv, g.opts...)
-	default:
-		recv := make([]geom.Vec, 0, g.members.count())
-		g.members.forEach(func(h int) {
-			v := make(geom.Vec, g.sub.dim)
-			for a := range v {
-				v[a] = g.sub.axes[a][h]
-			}
-			recv = append(recv, v)
-		})
-		res, err = core.BuildD(g.srcD, recv, g.opts...)
+	} else {
+		res, err = g.buildOneShot()
 	}
 	if err != nil {
 		return nil, full, err
@@ -169,6 +151,31 @@ func (g *GroupTree) Build() (*core.Result, bool, error) {
 	reg.LabeledGauge("multigroup/radius", "group", g.id).Set(res.Radius)
 	reg.LabeledGauge("multigroup/bound", "group", g.id).Set(res.Bound)
 	return res, full, nil
+}
+
+// buildOneShot runs core.BuildDFunc straight over the substrate's axes:
+// receiver i is the i-th member in ascending host order.
+func (g *GroupTree) buildOneShot() (*core.Result, error) {
+	axes, src := g.sub.axes, g.src
+	hosts := g.Members()
+	coord := func(node, a int) float64 {
+		if node == 0 {
+			return src[a]
+		}
+		return axes[a][hosts[node-1]]
+	}
+	return core.BuildDFunc(g.sub.dim, len(hosts), func(i int, v []float64) {
+		for a := range v {
+			v[a] = axes[a][hosts[i]] - src[a]
+		}
+	}, func(i, j int) float64 {
+		var s float64
+		for a := range axes {
+			x := coord(i, a) - coord(j, a)
+			s += x * x
+		}
+		return math.Sqrt(s)
+	}, g.opts...)
 }
 
 // Certificate returns the eq. 7 certificate of the last completed 2-D
