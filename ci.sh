@@ -67,6 +67,8 @@ check_cover ./internal/obs/flight 90
 check_cover ./internal/core 89
 check_cover ./internal/coords 92
 check_cover ./internal/grid 90
+check_cover ./internal/bisect 91
+check_cover ./internal/geom 87
 check_cover ./internal/protocol 92
 check_cover ./internal/multigroup 90
 check_cover ./internal/snapshot 90
@@ -83,9 +85,11 @@ go test -race ./...
 
 # The serial BuildState against Build2's default worker choice, at one CPU
 # (serial Build2) and four (parallel Build2 above its size threshold),
-# whatever the runner's core count.
-echo "== build-state differential at 1 and 4 CPUs =="
-go test -run '^(TestBuildStateMatchesFromScratch|TestBuildMetricsMatchTreeDelays)$' -cpu 1,4 ./internal/core
+# whatever the runner's core count; and the frozen 3-D and d-D build
+# checksums, whose default-worker builds then wire serially and in
+# parallel.
+echo "== build-state and frozen-checksum differential at 1 and 4 CPUs =="
+go test -run '^(TestBuildStateMatchesFromScratch|TestBuildMetricsMatchTreeDelays|TestFrozenBuild3|TestFrozenBuildD|TestBuild3AgreesWithBuildD)$' -cpu 1,4 ./internal/core
 
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzWireRoundTrip$' -fuzztime=10s ./internal/core

@@ -24,6 +24,11 @@
 //     becomes the local Bisection source and another (the outermost) relays
 //     the next ring.
 //
+// Two pipelines implement it: Build2's over planar polar coordinates (which
+// BuildState's full rebuild shares), and BuildDFunc's in any dimension
+// d >= 2 over one flat array of hyperspherical coordinates, which Build3,
+// BuildD and multi-group substrates all run.
+//
 // The same code handles the uniform unit disk of the analysis and the
 // general convex region / arbitrary interior source of §IV-C: coordinates
 // are taken relative to the source and the grid is scaled to the farthest

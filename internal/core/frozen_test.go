@@ -37,6 +37,17 @@ func checkSum(t *testing.T, name string, res *Result, err error, want string) {
 	}
 }
 
+// parallelism returns the worker option of a frozen build: par workers, or
+// for par = 0 none, leaving the default — one worker per CPU above the
+// size threshold — so running the tests at several -cpu values checks the
+// fingerprints against serial and parallel wiring.
+func parallelism(par int) []Option {
+	if par == 0 {
+		return nil
+	}
+	return []Option{WithParallelism(par)}
+}
+
 // frozen3Input is one pinned 3-D build input.
 type frozen3Input struct {
 	name   string
@@ -129,12 +140,12 @@ var frozenBuild3 = map[string]string{
 	"coincident/deg10": "b53fe5c5d042780a k=1 r=40009bb55acb9292 c=3fef84629c260574 b=402f70ab582a165f",
 }
 
-// TestFrozenBuild3 pins Build3's output on every frozen input, serial and
-// with two workers.
+// TestFrozenBuild3 pins Build3's output on every frozen input, with the
+// default worker count, serial and with two workers.
 func TestFrozenBuild3(t *testing.T) {
 	for _, c := range frozen3Inputs() {
-		for _, par := range []int{1, 2} {
-			opts := append([]Option{WithParallelism(par)}, c.opts...)
+		for _, par := range []int{0, 1, 2} {
+			opts := append(parallelism(par), c.opts...)
 			res, err := Build3(c.source, c.recv, opts...)
 			checkSum(t, fmt.Sprintf("%s/par%d", c.name, par), res, err, frozenBuild3[c.name])
 		}
@@ -142,15 +153,16 @@ func TestFrozenBuild3(t *testing.T) {
 }
 
 // TestBuild3AgreesWithBuildD: BuildD at d = 3 reproduces every frozen
-// Build3 fingerprint from geom.Vec inputs, serial and with two workers.
+// Build3 fingerprint from geom.Vec inputs, with the default worker count,
+// serial and with two workers.
 func TestBuild3AgreesWithBuildD(t *testing.T) {
 	for _, c := range frozen3Inputs() {
 		recv := make([]geom.Vec, len(c.recv))
 		for i, p := range c.recv {
 			recv[i] = p.Vec()
 		}
-		for _, par := range []int{1, 2} {
-			opts := append([]Option{WithParallelism(par)}, c.opts...)
+		for _, par := range []int{0, 1, 2} {
+			opts := append(parallelism(par), c.opts...)
 			res, err := BuildD(c.source.Vec(), recv, opts...)
 			checkSum(t, fmt.Sprintf("%s/par%d", c.name, par), res, err, frozenBuild3[c.name])
 		}
@@ -204,13 +216,13 @@ var frozenBuildD = map[string]string{
 	"d5/n5000/deg34": "0cd25f79e61ae777 k=8 r=401247aecc58e548 c=400f007f6b50215e b=4045a5e2ba560569",
 }
 
-// TestFrozenBuildD pins BuildD's output in d = 2..5, serial and with two
-// workers.
+// TestFrozenBuildD pins BuildD's output in d = 2..5, with the default
+// worker count, serial and with two workers.
 func TestFrozenBuildD(t *testing.T) {
 	for _, c := range frozenDInputs() {
 		src := make(geom.Vec, len(c.recv[0]))
-		for _, par := range []int{1, 2} {
-			res, err := BuildD(src, c.recv, WithMaxOutDegree(c.deg), WithParallelism(par))
+		for _, par := range []int{0, 1, 2} {
+			res, err := BuildD(src, c.recv, append(parallelism(par), WithMaxOutDegree(c.deg))...)
 			checkSum(t, fmt.Sprintf("%s/par%d", c.name, par), res, err, frozenBuildD[c.name])
 		}
 	}

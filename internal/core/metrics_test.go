@@ -126,7 +126,7 @@ func hyperReps(res *Result, source geom.Vec, recv []geom.Vec) []int32 {
 	return freshReps(len(recv), g.NumCells(), func(i int) int { return g.CellOf(pts[i*d : (i+1)*d]) }, conn)
 }
 
-func ballDCase(t *testing.T, name string, d int, recv []geom.Vec) metricsCase {
+func ballDCase(name string, d int, recv []geom.Vec) metricsCase {
 	source := make(geom.Vec, d)
 	return metricsCase{
 		name:    name,
@@ -168,9 +168,9 @@ func TestBuildMetricsMatchTreeDelays(t *testing.T) {
 		disk2Case("2d/at-source", geom.Point2{X: 1, Y: 1}, []geom.Point2{{X: 1, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}}),
 		ball3Case("3d/uniform", r.UniformBall3N(3000, 1)),
 		ball3Case("3d/below-threshold", r.UniformBall3N(300, 1)),
-		ballDCase(t, "d2/uniform", 2, r.UniformBallDN(1500, 2, 1)),
-		ballDCase(t, "d3/uniform", 3, r.UniformBallDN(1500, 3, 1)),
-		ballDCase(t, "d5/uniform", 5, r.UniformBallDN(2500, 5, 1)),
+		ballDCase("d2/uniform", 2, r.UniformBallDN(1500, 2, 1)),
+		ballDCase("d3/uniform", 3, r.UniformBallDN(1500, 3, 1)),
+		ballDCase("d5/uniform", 5, r.UniformBallDN(2500, 5, 1)),
 		state2Case(t, "2d/state-full", geom.Point2{X: 0.3, Y: 0.7}, r.UniformConvexPolygonN(3000, square), false),
 		state2Case(t, "2d/state-incremental", geom.Point2{}, r.MixedDensityDiskN(3000, 1, 0.3, clusters), true),
 	}

@@ -115,6 +115,9 @@ func (v Vec) HypersphericalInto(h Hyperspherical) {
 		u = min(max(x2/n3, -1), 1)
 	}
 	h[AxisU] = u
+	if d == 3 {
+		return
+	}
 	// Phi[m] is the angle between the axis x_{m+3} and the projection of v
 	// onto span(x_1..x_{m+3}); each v[m+2] is read before h[m+2] replaces it.
 	norm := math.Hypot(math.Hypot(x0, x1), x2)

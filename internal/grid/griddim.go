@@ -152,7 +152,8 @@ func (g *GridD) SegIndexOf(shell int, h geom.Hyperspherical) int {
 	// intervals in registers.
 	theta, tLo, tHi := h[geom.AxisTheta], 0.0, geom.TwoPi
 	var u float64
-	if g.D == 3 {
+	d3 := g.D == 3
+	if d3 {
 		u = h[geom.AxisU]
 	}
 	uLo, uHi := -1.0, 1.0
@@ -174,7 +175,7 @@ func (g *GridD) SegIndexOf(shell int, h geom.Hyperspherical) int {
 				tHi = mid
 			}
 		}
-		onU = g.D == 3 && !onU
+		onU = d3 && !onU
 	}
 	return j
 }

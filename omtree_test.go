@@ -68,6 +68,78 @@ func TestFacade3DAndND(t *testing.T) {
 	_ = omtree.DistND(make(omtree.Vec, 4), recvD)
 }
 
+// TestFacadeKMaxAboveFeasible: a WithKMax ceiling beyond every depth the
+// points can fill — here 40, deeper than any grid of 2,000 points — builds
+// exactly the default ceiling's tree in 3-D and 4-D.
+func TestFacadeKMaxAboveFeasible(t *testing.T) {
+	r := omtree.NewRand(4)
+	recv3 := r.UniformBall3N(2000, 1)
+	recvD := r.UniformBallDN(2000, 4, 1)
+	builds := map[string]func(...omtree.Option) (*omtree.Result, error){
+		"3d": func(o ...omtree.Option) (*omtree.Result, error) {
+			return omtree.Build3D(omtree.Point3{}, recv3, o...)
+		},
+		"4d": func(o ...omtree.Option) (*omtree.Result, error) {
+			return omtree.BuildND(make(omtree.Vec, 4), recvD, o...)
+		},
+	}
+	for name, build := range builds {
+		want, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := build(omtree.WithKMax(40))
+		if err != nil {
+			t.Fatalf("%s WithKMax(40): %v", name, err)
+		}
+		if got.K != want.K || got.Radius != want.Radius || got.Bound != want.Bound {
+			t.Errorf("%s: WithKMax(40) gave k=%d radius %v bound %v, default k=%d radius %v bound %v",
+				name, got.K, got.Radius, got.Bound, want.K, want.Radius, want.Bound)
+		}
+		for i := 0; i < want.Tree.N(); i++ {
+			if got.Tree.Parent(i) != want.Tree.Parent(i) {
+				t.Fatalf("%s: parent of node %d differs", name, i)
+			}
+		}
+	}
+}
+
+// TestFacadeRejectsNonFinite: a NaN or infinite coordinate, in a receiver
+// or in the source, fails every build with an error naming it.
+func TestFacadeRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, inSource := range []bool{false, true} {
+			want := "receiver 1"
+			if inSource {
+				want = "source"
+			}
+			src2, recv2 := omtree.Point2{}, []omtree.Point2{{X: 0.5}, {X: 0.1, Y: 0.2}, {X: -0.3}}
+			src3, recv3 := omtree.Point3{}, []omtree.Point3{{X: 0.5}, {Y: 0.1, Z: 0.2}, {Z: -0.3}}
+			srcD, recvD := make(omtree.Vec, 4), []omtree.Vec{{0.5, 0, 0, 0}, {0, 0.1, 0, 0.2}, {0, 0, 0, -0.3}}
+			if inSource {
+				src2.Y, src3.Z, srcD[3] = bad, bad, bad
+			} else {
+				recv2[1].Y, recv3[1].Z, recvD[1][3] = bad, bad, bad
+			}
+			builds := map[string]func() (*omtree.Result, error){
+				"Build":   func() (*omtree.Result, error) { return omtree.Build(src2, recv2) },
+				"Build3D": func() (*omtree.Result, error) { return omtree.Build3D(src3, recv3) },
+				"BuildND": func() (*omtree.Result, error) { return omtree.BuildND(srcD, recvD) },
+			}
+			for name, build := range builds {
+				res, err := build()
+				if err == nil || res != nil {
+					t.Errorf("%s with %v in the %s: result %v, err %v", name, bad, want, res, err)
+					continue
+				}
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with %v: error %q does not name the %s", name, bad, err, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFacadeBisection(t *testing.T) {
 	r := omtree.NewRand(4)
 	pts := r.UniformDiskN(200, 1)
