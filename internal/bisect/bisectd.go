@@ -34,7 +34,7 @@ type nodeScratch struct {
 
 // split partitions idx, the points of cell, into the cell's 2^d sub-cells
 // and returns the sub-cell bucket offsets — bucket q is
-// idx[start[q]:start[q+1]], in geom.SubcellBit index order — together with
+// idx[start[q]:start[q+1]], in geom.CellD.SubcellInto index order — together with
 // the split points and a sub-cell buffer for the recursion.
 func (c *CtxD) split(s *nodeScratch, idx []int32, cell geom.CellD) (splits []float64, sub geom.CellD, start []int32) {
 	d := c.D

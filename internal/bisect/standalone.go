@@ -168,7 +168,7 @@ func BuildTreeD(points []geom.Vec, source, maxOutDegree int) (*tree.Tree, Report
 			center[j] += p[j]
 		}
 	}
-	inv := 1 / float64(n)
+	inv := 1 / float64(n) // scale, not divide: TestFrozenBuildTree3 pins these bits
 	for j := range center {
 		center[j] *= inv
 	}

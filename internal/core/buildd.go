@@ -112,16 +112,19 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	if err := finiteSource(source.X, source.Y, source.Z); err != nil {
 		return nil, err
 	}
-	at := func(i int) geom.Point3 {
-		if i == 0 {
-			return source
-		}
-		return receivers[i-1]
-	}
 	return BuildDFunc(3, len(receivers), func(i int, v []float64) {
 		p := receivers[i]
 		v[0], v[1], v[2] = p.X-source.X, p.Y-source.Y, p.Z-source.Z
-	}, func(i, j int) float64 { return at(i).Dist(at(j)) }, opts...)
+	}, func(i, j int) float64 {
+		pi, pj := source, source
+		if i > 0 {
+			pi = receivers[i-1]
+		}
+		if j > 0 {
+			pj = receivers[j-1]
+		}
+		return pi.Dist(pj)
+	}, opts...)
 }
 
 // BuildD runs Algorithm Polar_Grid in general dimension d >= 2 (§IV-B):
@@ -140,17 +143,20 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	if err := finiteSource(source...); err != nil {
 		return nil, err
 	}
-	at := func(i int) geom.Vec {
-		if i == 0 {
-			return source
-		}
-		return receivers[i-1]
-	}
 	return BuildDFunc(d, len(receivers), func(i int, v []float64) {
 		for a, x := range receivers[i] {
 			v[a] = x - source[a]
 		}
-	}, func(i, j int) float64 { return at(i).Dist(at(j)) }, opts...)
+	}, func(i, j int) float64 {
+		pi, pj := source, source
+		if i > 0 {
+			pi = receivers[i-1]
+		}
+		if j > 0 {
+			pj = receivers[j-1]
+		}
+		return pi.Dist(pj)
+	}, opts...)
 }
 
 // BuildDFunc is the Polar_Grid pipeline in dimension d >= 2 (§IV-B), shared

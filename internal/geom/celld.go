@@ -59,21 +59,12 @@ func (c CellD) SplitPoint(a int) float64 {
 	return SinPowerSplit(a-1, c[2*a], c[2*a+1])
 }
 
-// SubcellBit returns the bit that axis a sets in the index of a Bisection
-// sub-cell of a d-dimensional cell: bit a-1 for angular axis a (bit 0
-// Theta, bit 1 U, bit m+1 Phi[m]) and the top bit, d-1, for the radial
-// axis. A set bit selects the upper half, h[a] >= the split point.
-func SubcellBit(a, d int) int {
-	if a == AxisR {
-		return d - 1
-	}
-	return a - 1
-}
-
-// SubcellInto writes sub-cell q of c (indexed per SubcellBit) into dst,
-// given c's split points, splits[a] = c.SplitPoint(a). Splitting every axis
-// once yields the 2^d sub-cells of the d-dimensional Bisection step. dst may
-// be c itself.
+// SubcellInto writes sub-cell q of c into dst, given c's split points,
+// splits[a] = c.SplitPoint(a). Splitting every axis once yields the 2^d
+// sub-cells of the d-dimensional Bisection step. Bit a-1 of q selects the
+// upper half (h[a] >= the split point) of angular axis a — bit 0 Theta,
+// bit 1 U, bit m+1 Phi[m] — and the top bit, d-1, the outer radial half.
+// dst may be c itself.
 func (c CellD) SubcellInto(dst CellD, q int, splits []float64) {
 	d := len(splits)
 	q = q<<1 | q>>uint(d-1)&1 // bit a of q now selects axis a's half

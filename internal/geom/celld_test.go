@@ -15,7 +15,7 @@ func splitsOf(c CellD) []float64 {
 	return s
 }
 
-// subcells returns the 2^d sub-cells of c in SubcellBit index order.
+// subcells returns the 2^d sub-cells of c in SubcellInto index order.
 func subcells(c CellD) []CellD {
 	d, splits := c.Dim(), splitsOf(c)
 	out := make([]CellD, 1<<uint(d))
@@ -32,7 +32,11 @@ func subcellIndex(c CellD, h Hyperspherical) int {
 	q := 0
 	for a := range h {
 		if h[a] >= c.SplitPoint(a) {
-			q |= 1 << uint(SubcellBit(a, c.Dim()))
+			bit := a - 1
+			if a == AxisR {
+				bit = c.Dim() - 1
+			}
+			q |= 1 << uint(bit)
 		}
 	}
 	return q
