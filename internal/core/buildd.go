@@ -103,6 +103,21 @@ func finiteSource(xs ...float64) error {
 	return nil
 }
 
+// nodeDist is the tree edge length over a source and its receivers: node 0
+// is the source and node i >= 1 is receivers[i-1].
+func nodeDist[P interface{ Dist(P) float64 }](source P, receivers []P) tree.DistFunc {
+	return func(i, j int) float64 {
+		pi, pj := source, source
+		if i > 0 {
+			pi = receivers[i-1]
+		}
+		if j > 0 {
+			pj = receivers[j-1]
+		}
+		return pi.Dist(pj)
+	}
+}
+
 // Build3 runs Algorithm Polar_Grid in three dimensions (§IV-B, Figure 8's
 // experiment): BuildDFunc at d = 3 over the receivers as given. Node 0 is
 // the source; node i >= 1 is receivers[i-1]. The default builds the natural
@@ -115,16 +130,7 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	return BuildDFunc(3, len(receivers), func(i int, v []float64) {
 		p := receivers[i]
 		v[0], v[1], v[2] = p.X-source.X, p.Y-source.Y, p.Z-source.Z
-	}, func(i, j int) float64 {
-		pi, pj := source, source
-		if i > 0 {
-			pi = receivers[i-1]
-		}
-		if j > 0 {
-			pj = receivers[j-1]
-		}
-		return pi.Dist(pj)
-	}, opts...)
+	}, nodeDist(source, receivers), opts...)
 }
 
 // BuildD runs Algorithm Polar_Grid in general dimension d >= 2 (§IV-B):
@@ -147,16 +153,7 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 		for a, x := range receivers[i] {
 			v[a] = x - source[a]
 		}
-	}, func(i, j int) float64 {
-		pi, pj := source, source
-		if i > 0 {
-			pi = receivers[i-1]
-		}
-		if j > 0 {
-			pj = receivers[j-1]
-		}
-		return pi.Dist(pj)
-	}, opts...)
+	}, nodeDist(source, receivers), opts...)
 }
 
 // BuildDFunc is the Polar_Grid pipeline in dimension d >= 2 (§IV-B), shared
