@@ -4,11 +4,6 @@ import (
 	"omtree/internal/geom"
 )
 
-// stackDim bounds the dimensions whose per-node scratch (split points,
-// sub-cell bounds and the 2^d bucket offsets) lives in fixed-size arrays
-// on the goroutine stack; higher dimensions allocate it per recursion node.
-const stackDim = 5
-
 // CtxD carries the shared state of a d-dimensional Bisection run: the flat
 // hyperspherical coordinates of every node (node i at Pts[i*D:(i+1)*D],
 // see geom.Hyperspherical) and the attachment sink of the tree under
@@ -27,9 +22,9 @@ func (c *CtxD) radius(id int32) float64 { return c.Pts[int(id)*c.D] }
 // cell, the bounds of the sub-cell being recursed into, and the offsets of
 // the buckets its points are partitioned into.
 type nodeScratch struct {
-	splits [stackDim]float64
-	sub    [2 * stackDim]float64
-	start  [1<<stackDim + 1]int32
+	splits [geom.StackDim]float64
+	sub    [2 * geom.StackDim]float64
+	start  [1<<geom.StackDim + 1]int32
 }
 
 // split partitions idx, the points of cell, into the cell's 2^d sub-cells
@@ -37,8 +32,8 @@ type nodeScratch struct {
 // idx[start[q]:start[q+1]], in geom.CellD.SubcellInto index order — together with
 // the split points and a sub-cell buffer for the recursion.
 func (c *CtxD) split(s *nodeScratch, idx []int32, cell geom.CellD) (splits []float64, sub geom.CellD, start []int32) {
-	d := c.D
-	if d <= stackDim {
+	d, pts := c.D, c.Pts
+	if d <= geom.StackDim {
 		splits, sub, start = s.splits[:d], s.sub[:2*d], s.start[:1<<uint(d)+1]
 	} else {
 		splits, sub, start = make([]float64, d), make(geom.CellD, 2*d), make([]int32, 1<<uint(d)+1)
@@ -53,7 +48,8 @@ func (c *CtxD) split(s *nodeScratch, idx []int32, cell geom.CellD) (splits []flo
 	for runs, a := 1, 0; runs < 1<<uint(d); runs *= 2 {
 		for q := runs - 1; q >= 0; q-- {
 			lo, hi := start[q], start[q+1]
-			mid := lo + int32(c.partition(idx[lo:hi], a, splits[a]))
+			at := splits[a]
+			mid := lo + int32(partition2(idx[lo:hi], func(id int32) bool { return pts[int(id)*d+a] >= at }))
 			start[2*q], start[2*q+1], start[2*q+2] = lo, mid, hi
 		}
 		if a == geom.AxisR {
@@ -62,20 +58,6 @@ func (c *CtxD) split(s *nodeScratch, idx []int32, cell geom.CellD) (splits []flo
 		a--
 	}
 	return splits, sub, start
-}
-
-// partition reorders idx so that the points below s on axis a come first,
-// returning the boundary. Order within halves is not preserved.
-func (c *CtxD) partition(idx []int32, a int, s float64) int {
-	d, pts := c.D, c.Pts
-	i := 0
-	for j, id := range idx {
-		if !(pts[int(id)*d+a] >= s) {
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
-		}
-	}
-	return i
 }
 
 // ConnectFull runs the natural out-degree-2^d Bisection over the points idx
@@ -138,7 +120,7 @@ func (c *CtxD) connect2(idx []int32, src int32, cell geom.CellD, depth int) {
 	}
 	var s nodeScratch
 	splits, sub, start := c.split(&s, idx, cell)
-	var small [1 << stackDim][]int32
+	var small [1 << geom.StackDim][]int32
 	buckets := small[:0]
 	if len(start)-1 > len(small) {
 		buckets = make([][]int32, 0, len(start)-1)

@@ -127,8 +127,8 @@ func buildPolar(res *Result, o options, workers int, polars []geom.Polar, dist t
 	endGrid := in.phase("build/grid")
 	k, err := pickK(o, n, func(k int) bool {
 		return grid.PolarGrid{K: k, Scale: scale}.InteriorOccupied(polars[1:])
-	}, func(kMax int) int {
-		return grid.MaxFeasibleKAnalytic(polars[1:], scale, kMax, workers)
+	}, func(kMax int) (int, error) {
+		return grid.MaxFeasibleKAnalytic(polars[1:], scale, kMax, workers), nil
 	})
 	endGrid()
 	if err != nil {
@@ -184,18 +184,20 @@ func buildDegenerate(n, degCap int) (*tree.Tree, error) {
 	return b.Build()
 }
 
-// pickK resolves the ring count: a forced value (validated for interior
-// occupancy) or the largest feasible value up to the search ceiling.
-func pickK(o options, n int, feasible func(k int) bool, search func(kMax int) int) (int, error) {
-	if o.forceK > 0 {
-		if !feasible(o.forceK) {
-			return 0, fmt.Errorf("core: forced k = %d leaves an interior grid cell empty", o.forceK)
+// pickK resolves the ring count of a grid over n points: a forced value
+// (validated for interior occupancy) or the largest feasible value up to the
+// search ceiling. A forced k whose 2^k - 2 interior cells outnumber the
+// points fails before feasible builds any grid.
+func pickK(o options, n int, feasible func(k int) bool, search func(kMax int) (int, error)) (int, error) {
+	if k := o.forceK; k > 0 {
+		if k > 62 || n < 1<<uint(k)-2 || !feasible(k) {
+			return 0, fmt.Errorf("core: forced k = %d leaves an interior grid cell empty", k)
 		}
-		return o.forceK, nil
+		return k, nil
 	}
 	kMax := o.kMax
 	if kMax <= 0 {
 		kMax = grid.DefaultKMax(n)
 	}
-	return search(kMax), nil
+	return search(kMax)
 }

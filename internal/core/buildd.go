@@ -10,10 +10,6 @@ import (
 	"omtree/internal/tree"
 )
 
-// stackDim bounds the dimensions whose per-call connector scratch lives in
-// fixed-size arrays on the stack; higher dimensions allocate it per call.
-const stackDim = 8
-
 // scratchD returns k length-d vectors of per-call scratch, backed by buf
 // when they fit.
 func scratchD(buf []float64, k, d int) []float64 {
@@ -50,7 +46,7 @@ func (c *connD) point(v geom.Vec, id int32) {
 // interval — of the U interval, the middle of the polar angle it spans.
 func (c *connD) nearestArc(cellID int, outer bool, members []int32) int {
 	d := c.g.D
-	var buf [4 * stackDim]float64
+	var buf [4 * geom.StackDim]float64
 	s := scratchD(buf[:], 4, d)
 	cell := c.cell(s, cellID)
 	mid, center := geom.Hyperspherical(s[2*d:3*d]), geom.Vec(s[3*d:])
@@ -74,7 +70,7 @@ func (c *connD) nearestArc(cellID int, outer bool, members []int32) int {
 
 func (c *connD) pointDist2(a, b int32) float64 {
 	d := c.g.D
-	var buf [2 * stackDim]float64
+	var buf [2 * geom.StackDim]float64
 	s := scratchD(buf[:], 2, d)
 	pa, pb := geom.Vec(s[:d]), geom.Vec(s[d:])
 	c.point(pa, a)
@@ -83,12 +79,12 @@ func (c *connD) pointDist2(a, b int32) float64 {
 }
 
 func (c *connD) connectNatural(idx []int32, src int32, cellID int) {
-	var buf [2 * stackDim]float64
+	var buf [2 * geom.StackDim]float64
 	c.ctx.ConnectFull(idx, src, c.cell(scratchD(buf[:], 2, c.g.D), cellID))
 }
 
 func (c *connD) connectBinary(idx []int32, src int32, cellID int) {
-	var buf [2 * stackDim]float64
+	var buf [2 * geom.StackDim]float64
 	c.ctx.Connect2(idx, src, c.cell(scratchD(buf[:], 2, c.g.D), cellID))
 }
 
@@ -202,7 +198,20 @@ func BuildDFunc(d, n int, offset func(i int, v []float64), dist tree.DistFunc, o
 	}
 
 	endGrid := in.phase("build/grid")
-	g, err := pickGridD(o, d, n, coords[d:], scale, workers)
+	k, err := pickK(o, n, func(k int) bool {
+		g, err := grid.NewGridD(d, k, scale)
+		return err == nil && g.InteriorOccupied(coords[d:])
+	}, func(kMax int) (int, error) {
+		g, err := grid.MaxFeasibleKDAnalytic(d, coords[d:], scale, kMax, workers)
+		if err != nil {
+			return 0, err
+		}
+		return g.K, nil
+	})
+	var g *grid.GridD
+	if err == nil {
+		g, err = grid.NewGridD(d, k, scale)
+	}
 	endGrid()
 	if err != nil {
 		return nil, err
@@ -221,25 +230,4 @@ func BuildDFunc(d, n int, offset func(i int, v []float64), dist tree.DistFunc, o
 		return nil, err
 	}
 	return res, nil
-}
-
-// pickGridD resolves the d-dimensional grid over the receivers' coordinates:
-// a forced depth (validated for interior occupancy) or the deepest feasible
-// one up to the search ceiling.
-func pickGridD(o options, d, n int, coords []float64, scale float64, workers int) (*grid.GridD, error) {
-	if o.forceK > 0 {
-		g, err := grid.NewGridD(d, o.forceK, scale)
-		if err != nil {
-			return nil, err
-		}
-		if !g.InteriorOccupied(coords) {
-			return nil, fmt.Errorf("core: forced k = %d leaves an interior grid cell empty", o.forceK)
-		}
-		return g, nil
-	}
-	kMax := o.kMax
-	if kMax <= 0 {
-		kMax = grid.DefaultKMax(n)
-	}
-	return grid.MaxFeasibleKDAnalytic(d, coords, scale, kMax, workers)
 }

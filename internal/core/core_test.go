@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"omtree/internal/geom"
@@ -237,6 +239,35 @@ func TestBuild2ForceK(t *testing.T) {
 	// An infeasibly large forced k must error.
 	if _, err := Build2(geom.Point2{}, recv, WithForceK(auto.K+3)); err == nil {
 		t.Error("accepted infeasible forced k")
+	}
+}
+
+// TestForceKBeyondPointCount forces depths whose 2^k - 2 interior cells
+// outnumber the receivers: every dimension must fail with the occupancy
+// error before building a grid, so even k = 62 allocates next to nothing.
+func TestForceKBeyondPointCount(t *testing.T) {
+	r := rng.New(6)
+	disk, ball := r.UniformDiskN(2000, 1), r.UniformBall3N(2000, 1)
+	vecs := r.UniformBallDN(2000, 4, 1)
+	builds := map[string]func(k int) (*Result, error){
+		"2d": func(k int) (*Result, error) { return Build2(geom.Point2{}, disk, WithForceK(k)) },
+		"3d": func(k int) (*Result, error) { return Build3(geom.Point3{}, ball, WithForceK(k)) },
+		"4d": func(k int) (*Result, error) { return BuildD(make(geom.Vec, 4), vecs, WithForceK(k)) },
+	}
+	for name, build := range builds {
+		for _, k := range []int{12, 40, 62, 63, 100} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := build(k)
+			runtime.ReadMemStats(&after)
+			want := fmt.Sprintf("core: forced k = %d leaves an interior grid cell empty", k)
+			if res != nil || err == nil || err.Error() != want {
+				t.Fatalf("%s k=%d: result %v, error %v, want %q", name, k, res != nil, err, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s k=%d: allocated %d bytes before failing", name, k, got)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,12 @@ import "math"
 // scratch memory and be rewritten in place.
 type CellD []float64
 
+// StackDim is the largest dimension whose per-call scratch (cell bounds,
+// points, split points, bucket offsets, walk positions) the grid, Bisection
+// and build code keep in fixed-size arrays on the goroutine stack; higher
+// dimensions allocate it per call.
+const StackDim = 5
+
 // FullShellD returns the cell covering the entire shell rMin <= r <= rMax of
 // d-dimensional space (d >= 2).
 func FullShellD(d int, rMin, rMax float64) CellD {

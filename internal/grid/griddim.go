@@ -11,10 +11,6 @@ import (
 // fit an int.
 const maxGridK = 62
 
-// stackAxes bounds the polar axes whose per-call walk state lives in a
-// fixed-size array; higher dimensions fall back to the heap.
-const stackAxes = 8
-
 // GridD is the d-dimensional grid of §IV-B over a ball of radius Scale:
 // dividing spheres at radii Scale * 2^((i-K)/d) produce shells 0..K (shell
 // 0 the inner ball), each holding twice the volume of the one inside it,
@@ -135,8 +131,8 @@ func (g *GridD) ShellOf(r float64) int {
 
 // walkState returns per-call storage for the Phi[m] tree positions of a
 // walk, on the caller's stack when the dimension allows.
-func (g *GridD) walkState(buf *[stackAxes]int) []int {
-	if g.D-2 <= stackAxes {
+func (g *GridD) walkState(buf *[geom.StackDim]int) []int {
+	if g.D <= geom.StackDim {
 		return buf[:]
 	}
 	return make([]int, g.D-2)
@@ -145,47 +141,9 @@ func (g *GridD) walkState(buf *[stackAxes]int) []int {
 // SegIndexOf returns the angular cell index of h within the given shell by
 // walking the shell's split levels.
 func (g *GridD) SegIndexOf(shell int, h geom.Hyperspherical) int {
-	if g.D > 3 {
-		return g.segIndexPhi(shell, h)
-	}
-	// d <= 3: Theta alone, or Theta and U alternately, with the running
-	// intervals in registers.
-	theta, tLo, tHi := h[geom.AxisTheta], 0.0, geom.TwoPi
-	var u float64
-	d3 := g.D == 3
-	if d3 {
-		u = h[geom.AxisU]
-	}
-	uLo, uHi := -1.0, 1.0
-	j, onU := 0, false
-	for l := 0; l < shell; l++ {
-		j *= 2
-		if onU {
-			if mid := (uLo + uHi) / 2; u < mid {
-				j++
-				uHi = mid
-			} else {
-				uLo = mid
-			}
-		} else {
-			if mid := (tLo + tHi) / 2; theta >= mid {
-				j++
-				tLo = mid
-			} else {
-				tHi = mid
-			}
-		}
-		onU = d3 && !onU
-	}
-	return j
-}
-
-// segIndexPhi is SegIndexOf for d > 3, where the walk also descends the
-// Phi[m] split tables.
-func (g *GridD) segIndexPhi(shell int, h geom.Hyperspherical) int {
 	tLo, tHi := 0.0, geom.TwoPi
 	uLo, uHi := -1.0, 1.0
-	var buf [stackAxes]int
+	var buf [geom.StackDim]int
 	node := g.walkState(&buf)
 	j, b := 0, 0
 	for l := 0; l < shell; l++ {
@@ -257,7 +215,7 @@ func (g *GridD) CellInto(dst geom.CellD, shell, idx int) {
 	for a := 3; a < g.D; a++ {
 		dst[2*a], dst[2*a+1] = 0, math.Pi
 	}
-	var buf [stackAxes]int
+	var buf [geom.StackDim]int
 	node := g.walkState(&buf)
 	b := 0
 	for l := 0; l < shell; l++ {
